@@ -17,7 +17,8 @@ import sys
 
 from . import bounds as bnd
 from . import chords, curveio, generators, partition as part
-from .errors import BadFlag, CurveCoverError, FileError, OutOfRange
+from .curve import _assemble
+from .errors import BadFlag, CurveCoverError, OutOfRange
 
 
 def _emit(text: str, out: str | None):
@@ -29,14 +30,12 @@ def _emit(text: str, out: str | None):
 
 
 def _load_normalized(path, report_notes: list):
-    try:
-        curve = curveio.load_curve(path)
-    except FileError:
-        raise
+    curve = curveio.load_curve(path)
     if not curve.is_unit_length:
         report_notes.append(
             f"input curve length {curve.length:.12g} != 1; auto-normalized")
-        curve = curveio.load_curve(path, normalize=True)
+        # same merged vertices, so equal to load_curve(path, normalize=True)
+        curve = _assemble(curve.vertices, normalize=True)
     return curve
 
 
@@ -206,9 +205,16 @@ def cmd_verify(args) -> int:
         doc = {"command": "verify", "results": results, "notes": notes}
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     if not all_ok:
-        bad = [r["s"] for r in results if not r["pass"]]
-        print(f"FAIL: average-chord inequality violated at s={bad}",
-              file=sys.stderr)
+        for r in results:
+            checked = [("average_chord", r["average_chord"], r["pass"])]
+            if "min_chord" in r:
+                m = r["min_chord"]
+                checked.append(("min_chord", m["chord"], m["below_bound"]))
+            for name, value, ok in checked:
+                if not ok:
+                    print(f"FAIL: {name} at s={r['s']!r} is {value!r}, above "
+                          f"sin(pi s)/pi = {r['bound']!r} by "
+                          f"{value - r['bound']:.3g}", file=sys.stderr)
         return 1
     return 0
 

@@ -59,45 +59,38 @@ class ClosedCurve:
 
 
 def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) >= MERGE_TOL:
-            keep.append(i)
-    # drop a repeated first vertex at the end (explicitly closed input)
-    if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) < MERGE_TOL:
-        keep.pop()
-    return pts[keep]
+    """Drop each vertex closer than MERGE_TOL to the last vertex kept.
 
-
-def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
-    """Build a closed curve from a vertex sequence.
-
-    The closing edge is implicit; a repeated first vertex at the end is
-    dropped, as are exact or near (< 1e-12) duplicate consecutive
-    vertices.  With ``normalize`` the coordinates are scaled by 1/L so
-    the result has unit length.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the points do not share a dimension d >= 2.
-    DegenerateCurve
-        If fewer than 3 distinct vertices remain, or L == 0.
+    The comparison is sequential: after a vertex is dropped, the next one
+    is compared with the last vertex kept, not with its predecessor.  A
+    vertex whose predecessor was kept is decided by its edge length, so
+    batched edge lengths decide every vertex except those after a short
+    edge, and only those are walked in Python.  Short edges are found
+    with a relative margin and each walked vertex is decided by the same
+    scalar norm throughout, so the result does not depend on how the
+    batched sum rounds.
     """
-    pts = [np.asarray(p, dtype=float).ravel() for p in vertices]
-    if not pts:
-        raise DegenerateCurve("no vertices")
-    d = pts[0].shape[0]
-    if any(p.shape[0] != d for p in pts):
-        raise DimensionMismatch("all vertices must have the same dimension")
-    if d < 2:
-        raise DimensionMismatch(f"dimension must be >= 2, got {d}")
-    arr = _merge_duplicates(np.asarray(pts))
-    if arr.shape[0] < 3:
-        raise DegenerateCurve("need at least 3 distinct vertices")
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateCurve("non-finite coordinates")
+    edges = np.diff(pts, axis=0)
+    near = np.einsum("ij,ij->i", edges, edges) < (MERGE_TOL * (1.0 + 1e-9)) ** 2
+    keep = np.ones(len(pts), dtype=bool)
+    walked = 0  # vertices up to here are decided
+    for i in (np.flatnonzero(near) + 1).tolist():
+        if i <= walked:
+            continue
+        last = i - 1
+        while i < len(pts) and np.linalg.norm(pts[i] - pts[last]) < MERGE_TOL:
+            keep[i] = False
+            i += 1
+        walked = i
+    # drop a repeated first vertex at the end (explicitly closed input)
+    last = int(np.flatnonzero(keep)[-1])
+    if last > 0 and np.linalg.norm(pts[last] - pts[0]) < MERGE_TOL:
+        keep[last] = False
+    return pts if keep.all() else pts[keep]
 
+
+def _assemble(arr: np.ndarray, normalize: bool) -> ClosedCurve:
+    """Curve on the merged, validated vertex array ``arr`` (kept, not copied)."""
     edges = np.roll(arr, -1, axis=0) - arr
     seg = np.linalg.norm(edges, axis=1)
     total = float(seg.sum())
@@ -113,6 +106,45 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     tangents = edges / seg[:, None]
     params = cum / total
     return ClosedCurve(arr, cum, total, tangents, params)
+
+
+def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
+    """Build a closed curve from an (n, d) array-like of vertices.
+
+    The closing edge is implicit; a repeated first vertex at the end is
+    dropped, as are exact or near (< 1e-12) duplicate consecutive
+    vertices.  With ``normalize`` the coordinates are scaled by 1/L so
+    the result has unit length.  The input is copied.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the input is not an (n, d) array (ragged rows included) or
+        d < 2.
+    DegenerateCurve
+        If there are no vertices, a coordinate is NaN or infinite, fewer
+        than 3 distinct vertices remain, or L == 0.
+    """
+    try:
+        arr = np.array(vertices, dtype=float, order="C")
+    except ValueError:
+        if len({np.shape(p) for p in vertices}) > 1:
+            raise DimensionMismatch(
+                "all vertices must have the same dimension") from None
+        raise
+    if arr.ndim >= 1 and arr.shape[0] == 0:
+        raise DegenerateCurve("no vertices")
+    if arr.ndim != 2:
+        raise DimensionMismatch(
+            f"vertices must form an (n, d) array, got shape {arr.shape}")
+    if arr.shape[1] < 2:
+        raise DimensionMismatch(f"dimension must be >= 2, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateCurve("non-finite coordinates")
+    arr = _merge_duplicates(arr)
+    if arr.shape[0] < 3:
+        raise DegenerateCurve("need at least 3 distinct vertices")
+    return _assemble(arr, normalize)
 
 
 @dataclass(frozen=True)

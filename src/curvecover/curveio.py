@@ -51,7 +51,5 @@ def load_curve(path, normalize: bool = False) -> ClosedCurve:
                     if ln.strip() and not ln.lstrip().startswith("#")]
             verts = np.asarray([[float(x) for x in ln.split(",")] for ln in rows])
         return build_curve(verts, normalize=normalize)
-    except FileError:
-        raise
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         raise FileError(f"cannot parse curve file {path}: {e}") from e

@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds
 from .chords import golden_section, min_chord_start
 from .curve import Arc, ClosedCurve, chord_length
-from .errors import KTooSmall, NotAPartition, NotNormalized
+from .errors import KTooSmall, NotAPartition, NotNormalized, OutOfRange
 
 PARTITION_TOL = 1e-9
 
@@ -73,7 +73,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max",
     if k < 1:
         raise KTooSmall("k must be >= 1")
     if grid_size < 2:
-        raise NotAPartition("grid_size must be >= 2")  # pragma: no cover
+        raise OutOfRange("grid_size must be >= 2")
     if objective not in ("max", "avg"):
         raise ValueError(f"objective must be 'max' or 'avg', got {objective!r}")
     period = 1.0 / k

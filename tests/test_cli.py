@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from curvecover import (chords, cover_report, load_curve, optimized_partition,
+                        solve_sk)
 from curvecover.cli import main
 
 
@@ -84,6 +87,35 @@ class TestPartition:
         assert len(lines) == 5  # header + 3 pieces + verdict comment
 
 
+class TestLoadOnce:
+    def test_raw_file_read_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "ellipse.json"
+        assert main(["gen", "--kind", "ellipse", "--resolution", "512",
+                     "--no-normalize", "--out", str(path)]) == 0
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert main(["partition", str(path), "--k", "5", "--mode", "optimized",
+                     "--render", "json"]) == 0
+        assert reads == [path]
+        monkeypatch.undo()
+
+        raw = load_curve(path)
+        curve = load_curve(path, normalize=True)
+        s_k, bound = solve_sk(5)
+        expect = cover_report(curve, optimized_partition(curve, 5, 4096), bound,
+                              s_k, tol=1e-6)
+        expect["command"] = "partition"
+        expect["notes"] = [
+            f"input curve length {raw.length:.12g} != 1; auto-normalized"]
+        assert capsys.readouterr().out == json.dumps(expect, sort_keys=True) + "\n"
+
+
 class TestSweep:
     def test_circle_k3(self, circle_file, capsys):
         assert main(["sweep", circle_file, "--k", "3", "--samples", "100",
@@ -130,6 +162,22 @@ class TestVerify:
 
     def test_s_out_of_range(self, circle_file):
         assert main(["verify", circle_file, "--s", "0.6"]) == 2
+
+    @pytest.mark.parametrize("check", ["average_chord", "min_chord"])
+    def test_failure_names_the_check(self, check, square_file, monkeypatch,
+                                     capsys):
+        bound = math.sin(math.pi * 0.25) / math.pi
+        if check == "average_chord":
+            monkeypatch.setattr(chords, "average_chord",
+                                lambda curve, s: bound + 1e-3)
+        else:
+            monkeypatch.setattr(chords, "min_chord_start",
+                                lambda curve, s, grid: (0.125, bound + 1e-3))
+        assert main(["verify", square_file, "--s", "0.25"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"FAIL: {check} at s=0.25 ")
+        assert err[0].endswith(" by 0.001")
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvecover import (Arc, build_curve, chord_length, cover_piece_length,
                         point_at)
+from curvecover.curve import MERGE_TOL
 from curvecover.errors import DegenerateCurve, DimensionMismatch, OutOfRange
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -41,12 +42,99 @@ class TestBuildCurve:
             build_curve([(0, 0), (1, 0, 0), (1, 1)])
         with pytest.raises(DimensionMismatch):
             build_curve([(0.0,), (1.0,), (2.0,)])
+        with pytest.raises(DimensionMismatch):
+            build_curve([0.0, 1.0, 2.0])
 
     def test_degenerate(self):
         with pytest.raises(DegenerateCurve):
             build_curve([(0, 0), (1, 0)])
         with pytest.raises(DegenerateCurve):
             build_curve([(0, 0), (0, 0), (0, 0), (0, 0)])
+        with pytest.raises(DegenerateCurve):
+            build_curve([])
+        with pytest.raises(DegenerateCurve):
+            build_curve(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = SQUARE[:2] + [(bad, 1.0)] + SQUARE[3:]
+        with pytest.raises(DegenerateCurve, match="non-finite"):
+            build_curve(pts)
+
+    def test_input_copied(self):
+        pts = np.array(SQUARE)
+        c = build_curve(pts)
+        pts[0, 0] = 5.0
+        assert c.vertices[0, 0] == 0.0
+
+
+def _sequential_build(vertices, normalize):
+    """Reference: merge by comparing each vertex with the last one kept,
+    one vertex at a time, then the arc-length arithmetic.  None if
+    degenerate."""
+    pts = np.asarray(vertices, dtype=float)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.linalg.norm(pts[i] - pts[keep[-1]]) >= MERGE_TOL:
+            keep.append(i)
+    if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) < MERGE_TOL:
+        keep.pop()
+    arr = pts[keep]
+    if arr.shape[0] < 3:
+        return None
+    edges = np.roll(arr, -1, axis=0) - arr
+    seg = np.linalg.norm(edges, axis=1)
+    total = float(seg.sum())
+    if total <= 0.0:
+        return None
+    if normalize:
+        arr, seg = arr / total, seg / total
+        total = float(seg.sum())
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    return arr, cum, cum / total
+
+
+STEPS = [f * MERGE_TOL for f in (0.3, 0.6, 1.0, 2.0)]
+
+
+@st.composite
+def polylines_with_near_duplicates(draw):
+    """Random polyline with clusters of sub- and near-MERGE_TOL steps after
+    some vertices (random signs give zig-zags) and an optional closing
+    vertex at or near the first."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e3]))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    base = scale * np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                          min_size=n, max_size=n)))
+    out = []
+    for p in base:
+        out.append(p)
+        for _ in range(draw(st.integers(0, 4))):
+            q = out[-1].copy()
+            q[draw(st.integers(0, d - 1))] += (draw(st.sampled_from([1.0, -1.0]))
+                                               * draw(st.sampled_from(STEPS)))
+            out.append(q)
+    closing = draw(st.sampled_from([None, 0.0] + STEPS))
+    if closing is not None:
+        q = base[0].copy()
+        q[-1] += closing
+        out.append(q)
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=polylines_with_near_duplicates(), normalize=st.booleans())
+def test_merge_matches_sequential_reference(pts, normalize):
+    expect = _sequential_build(pts, normalize)
+    if expect is None:
+        with pytest.raises(DegenerateCurve):
+            build_curve(pts, normalize=normalize)
+        return
+    c = build_curve(pts, normalize=normalize)
+    for got, want in zip((c.vertices, c.cum_lengths, c.params), expect):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPointAt:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvecover import CurveSpec, generate, load_curve, save_curve
-from curvecover.errors import FileError
+from curvecover.errors import DegenerateCurve, FileError
 
 
 def test_json_round_trip(tmp_path):
@@ -48,4 +48,12 @@ def test_dim_disagreement(tmp_path):
     path = tmp_path / "bad2.json"
     path.write_text('{"dim": 3, "vertices": [[0,0],[1,0],[1,1]]}')
     with pytest.raises(FileError):
+        load_curve(path)
+
+
+def test_nan_vertex_rejected(tmp_path):
+    # json.loads accepts the NaN literal, so the check must be in the curve
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 2, "vertices": [[0,0],[1,0],[NaN,1],[0,1]]}')
+    with pytest.raises(DegenerateCurve, match="non-finite"):
         load_curve(path)

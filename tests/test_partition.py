@@ -7,7 +7,7 @@ from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift,
                         chord_length, cover_metrics, cover_report,
                         gamma_upper_refined, optimized_partition, solve_sk,
                         theorem2_partition, uniform_partition)
-from curvecover.errors import KTooSmall, NotAPartition, NotNormalized
+from curvecover.errors import KTooSmall, NotAPartition, NotNormalized, OutOfRange
 
 
 class TestUniformPartition:
@@ -67,6 +67,10 @@ class TestBestUniformShift:
     def test_bad_objective(self, circle):
         with pytest.raises(ValueError):
             best_uniform_shift(circle, 3, "median")
+
+    def test_bad_grid_size(self, circle):
+        with pytest.raises(OutOfRange):
+            best_uniform_shift(circle, 3, "max", 1)
 
 
 class TestTheorem2Partition:
