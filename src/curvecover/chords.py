@@ -18,6 +18,10 @@ from .errors import NotNormalized, OutOfRange
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+# min_chord_start: cell minima within this relative distance of the
+# global minimum tie, and the smallest start among them wins.
+MIN_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -46,9 +50,7 @@ def _require_unit(curve: ClosedCurve):
 def _breakpoints(curve: ClosedCurve, s: float) -> np.ndarray:
     """Parameters where t or t+s crosses a vertex, sorted with 0 and 1."""
     u = curve.params[:-1]
-    pts = np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0]))
-    pts = np.unique(pts)
-    return pts
+    return np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
 
 
 def _affine_pieces(curve: ClosedCurve, s: float, brk: np.ndarray):
@@ -141,55 +143,51 @@ def average_chord(curve: ClosedCurve, s: float,
     return float(np.sum(vals.sum(axis=1) * (p1 - p0) / m))
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-10):
-    """Minimize a unimodal f on [a, b]; returns (x, f(x))."""
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
+def golden_section(f, a, b, tol: float = 1e-10):
+    """Minimize unimodal f on each bracket [a, b]; returns (x, f(x)).
+
+    ``a`` and ``b`` are scalars or equal-shape arrays of brackets, and f
+    maps one point per bracket to its value, so one call of f per step
+    serves every bracket.  All brackets shrink together until the widest
+    is at most ``tol``; x is the better of the last two samples.
+    """
+    a = np.asarray(a, dtype=float)
+    h = np.asarray(b, dtype=float) - a
+    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
     yc, yd = f(c), f(d)
-    while h > tol:
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = f(d)
-    x = c if yc < yd else d
-    return x, min(yc, yd)
+    while np.max(h, initial=0.0) > tol:
+        h = h * _INV_PHI
+        left = yc < yd  # keep [a, d]; else keep [c, b]
+        a = np.where(left, a, c)
+        c, d = np.where(left, a + _INV_PHI2 * h, d), np.where(left, c, a + _INV_PHI * h)
+        y = f(np.where(left, c, d))
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+    first = yc < yd
+    return np.where(first, c, d)[()], np.where(first, yc, yd)[()]
 
 
 def min_chord_start(curve: ClosedCurve, s: float, grid_size: int = 4096):
     """Start parameter minimizing the chord spanned by an arc of length s.
 
-    Evaluates the chord on a uniform grid augmented with every
-    vertex-crossing parameter, then refines around the best sample by
-    golden-section search (the chord is convex between crossings).
-    Ties break to the smallest t.  Returns (t_star, chord).
+    Exact: on each breakpoint cell [t0, t1] the chord is ||a + b t||, so
+    its minimum is at t* = clip(-a.b / |b|^2, t0, t1), or at t0 where
+    b = 0; it never exceeds the average chord.  Ties: the smallest t
+    whose cell minimum is within a relative ``MIN_TIE_RTOL`` of the
+    global minimum wins.  ``grid_size`` (>= 2) is accepted for
+    compatibility and has no effect.  Returns (t_star, chord).
     """
     _require_unit(curve)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
     if grid_size < 2:
         raise OutOfRange("grid_size must be >= 2")
-    grid = np.arange(grid_size) / grid_size
-    cand = np.unique(np.concatenate((grid, _breakpoints(curve, s)[:-1])))
-    chords = np.asarray(chord_length(curve, cand, s))
-    i = int(np.argmin(chords))
-    t_best, c_best = float(cand[i]), float(chords[i])
-
-    # refine both cells adjacent to the best sample (circular)
-    m = len(cand)
-    left = cand[i - 1] - (1.0 if i == 0 else 0.0)
-    right = cand[(i + 1) % m] + (1.0 if i == m - 1 else 0.0)
-    f = lambda t: float(chord_length(curve, t, s))
-    for a, b in ((left, t_best), (t_best, right)):
-        x, y = golden_section(f, a, b, tol=1e-10)
-        if y < c_best:
-            t_best, c_best = x % 1.0, y
-    return t_best, c_best
+    brk = _breakpoints(curve, s)
+    t0, t1 = brk[:-1], brk[1:]
+    a, b = _affine_pieces(curve, s, brk)
+    bb = np.einsum("ij,ij->i", b, b)
+    ab = np.einsum("ij,ij->i", a, b)
+    t = np.clip(np.divide(-ab, bb, out=t0.copy(), where=bb > 0.0), t0, t1)
+    v = a + b * t[:, None]
+    chords = np.sqrt(np.einsum("ij,ij->i", v, v))
+    i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
+    return float(t[i]) % 1.0, float(chords[i])

@@ -111,14 +111,14 @@ def cmd_partition(args) -> int:
         bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
         shift_or_s = shift
     elif args.mode == "best":
-        shift_or_s, cover = part.best_uniform_shift(curve, k, "max", args.grid)
+        shift_or_s, cover = part.best_uniform_shift(curve, k, "max")
         bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
     elif args.mode == "theorem2":
-        cover = part.theorem2_partition(curve, k, args.grid)
+        cover = part.theorem2_partition(curve, k)
         bound = bnd.gamma_upper_refined(k)
         shift_or_s = cover.pieces[0].length_frac
     else:  # optimized
-        cover = part.optimized_partition(curve, k, args.grid)
+        cover = part.optimized_partition(curve, k)
         s_k, bound = bnd.solve_sk(k)
         shift_or_s = s_k
     report = part.cover_report(curve, cover, bound, shift_or_s, tol=args.tol)
@@ -178,23 +178,23 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     notes: list = []
     curve = _load_normalized(args.curve, notes)
-    results = []
-    all_ok = True
+    results, fails = [], []
     for s in args.s:
         if not (0.0 <= s <= 0.5):
             raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
         value = chords.average_chord(curve, s)
         bound = math.sin(math.pi * s) / math.pi
         slack = bound - value
-        ok = value <= bound + 1e-9
-        all_ok &= ok
-        entry = {"s": s, "average_chord": value, "bound": bound,
-                 "slack": slack, "pass": ok, "near_equality": slack < 1e-4}
+        entry = {"s": s, "average_chord": value, "bound": bound, "slack": slack,
+                 "pass": value <= bound + args.tol, "near_equality": slack < 1e-4}
+        checked = [("average_chord", value, entry["pass"])]
         if s > 0.0:
-            t_star, chord = chords.min_chord_start(curve, s, args.grid)
+            t_star, chord = chords.min_chord_start(curve, s)
             entry["min_chord"] = {"t_star": t_star, "chord": chord,
-                                  "below_bound": chord <= bound + 1e-8}
-            all_ok &= entry["min_chord"]["below_bound"]
+                                  "below_bound": chord <= bound + args.tol}
+            checked.append(("min_chord", chord, entry["min_chord"]["below_bound"]))
+        fails += [f"FAIL: {name} at s={s!r} is {v!r}, above sin(pi s)/pi = "
+                  f"{bound!r} by {v - bound:.3g}" for name, v, ok in checked if not ok]
         results.append(entry)
     if args.render == "csv":
         lines = ["s,average_chord,bound,slack,pass"]
@@ -204,31 +204,20 @@ def cmd_verify(args) -> int:
     else:
         doc = {"command": "verify", "results": results, "notes": notes}
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    if not all_ok:
-        for r in results:
-            checked = [("average_chord", r["average_chord"], r["pass"])]
-            if "min_chord" in r:
-                m = r["min_chord"]
-                checked.append(("min_chord", m["chord"], m["below_bound"]))
-            for name, value, ok in checked:
-                if not ok:
-                    print(f"FAIL: {name} at s={r['s']!r} is {value!r}, above "
-                          f"sin(pi s)/pi = {r['bound']!r} by "
-                          f"{value - r['bound']:.3g}", file=sys.stderr)
-        return 1
-    return 0
+    for line in fails:
+        print(line, file=sys.stderr)
+    return 1 if fails else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="curvecover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=1e-6):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--render", choices=("table", "json", "csv"),
                         default="table")
-        sp.add_argument("--grid", type=int, default=4096)
-        sp.add_argument("--tol", type=float, default=1e-6)
+        sp.add_argument("--tol", type=float, default=tol, help="verdict slack")
 
     sp = sub.add_parser("bounds", help="print the bounds table")
     sp.add_argument("--kmax", type=int, required=True)
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check the average-chord inequality")
     sp.add_argument("curve")
     sp.add_argument("--s", type=float, nargs="+", required=True)
-    common(sp)
+    common(sp, tol=1e-9)
     sp.set_defaults(func=cmd_verify)
     return p
 

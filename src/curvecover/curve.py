@@ -35,10 +35,8 @@ class ClosedCurve:
     vertices: np.ndarray
     cum_lengths: np.ndarray
     length: float
-    # Unit tangent of each edge and normalized vertex parameters,
-    # precomputed for point queries.
+    # Unit tangent of each edge, precomputed for point queries.
     _tangents: np.ndarray = field(repr=False, default=None)
-    _params: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -51,7 +49,7 @@ class ClosedCurve:
     @property
     def params(self) -> np.ndarray:
         """Normalized parameter of each vertex, plus the closing 1.0."""
-        return self._params
+        return self.cum_lengths / self.length
 
     @property
     def is_unit_length(self) -> bool:
@@ -104,8 +102,7 @@ def _assemble(arr: np.ndarray, normalize: bool) -> ClosedCurve:
 
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     tangents = edges / seg[:, None]
-    params = cum / total
-    return ClosedCurve(arr, cum, total, tangents, params)
+    return ClosedCurve(arr, cum, total, tangents)
 
 
 def build_curve(vertices, normalize: bool = False) -> ClosedCurve:

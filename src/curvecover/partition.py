@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import golden_section, min_chord_start
+from .chords import _affine_pieces, _require_unit, golden_section, min_chord_start
 from .curve import Arc, ClosedCurve, chord_length
-from .errors import KTooSmall, NotAPartition, NotNormalized, OutOfRange
+from .errors import KTooSmall, NotAPartition, OutOfRange
 
 PARTITION_TOL = 1e-9
 
@@ -66,9 +66,13 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max",
                        grid_size: int = 4096):
     """Shift minimizing gamma (``max``) or beta (``avg``) of the uniform cover.
 
-    Scans grid_size shifts in [0, 1/k) augmented with every shift at
-    which some arc endpoint crosses a vertex, then refines the best
-    cell by golden-section search.  Returns (shift_star, cover).
+    Requires a unit-length curve.  Shifts where an arc endpoint crosses
+    a vertex cut [0, 1/k) into cells; on a cell each arc's chord is the
+    norm of an affine function of the shift, so the objective is convex
+    there.  One batched golden-section search refines every cell to
+    1e-12, and the best cell start or refined point wins.  ``grid_size``
+    (>= 2) is accepted for compatibility and has no effect.  Returns
+    (shift_star, cover).
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
@@ -76,42 +80,43 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max",
         raise OutOfRange("grid_size must be >= 2")
     if objective not in ("max", "avg"):
         raise ValueError(f"objective must be 'max' or 'avg', got {objective!r}")
+    _require_unit(curve)
+    if k == 1:
+        return 0.0, uniform_partition(curve, 1, 0.0)
     period = 1.0 / k
-    grid = np.arange(grid_size) * (period / grid_size)
-    crossings = np.mod(curve.params[:-1], period)
-    cand = np.unique(np.concatenate((grid, crossings)))
-    cand = cand[cand < period]
+    brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
+                                    [0.0, period])))
+    lo, m = brk[:-1], len(brk)
+    # one breakpoint row per arc, shifted by j/k; the pairs that straddle
+    # two rows are dropped after the call
+    shifted = brk[None, :] + (np.arange(k) / k)[:, None]
+    a, b = _affine_pieces(curve, period, shifted.ravel())
+    cells = np.arange(k)[:, None] * m + np.arange(m - 1)[None, :]
+    a, b = a[cells], b[cells]
+    v0 = a + b * shifted[:, :-1, None]  # chord vector at each cell's start
+    # ||v0 + b tau||^2 = qa tau^2 + qb tau + qc with tau = sigma - lo
+    qa = np.einsum("jcd,jcd->jc", b, b)
+    qb = 2.0 * np.einsum("jcd,jcd->jc", v0, b)
+    qc = np.einsum("jcd,jcd->jc", v0, v0)
 
-    starts = np.mod(cand[:, None] + np.arange(k)[None, :] / k, 1.0)
-    chords = np.asarray(chord_length(curve, starts.ravel(), 1.0 / k))
-    lengths = (curve.length / k + chords).reshape(starts.shape) if k > 1 \
-        else np.full((len(cand), 1), curve.length)
-    vals = lengths.max(axis=1) if objective == "max" else lengths.sum(axis=1)
-    i = int(np.argmin(vals))
-    best_shift, best_val = float(cand[i]), float(vals[i])
+    def cost(sigma):
+        tau = sigma - lo
+        sq = (qa * tau + qb) * tau + qc
+        if objective == "max":
+            return sq.max(axis=0)
+        return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
 
-    def obj(shift: float) -> float:
-        lens = _piece_lengths(curve, np.mod(shift + np.arange(k) / k, 1.0),
-                              np.full(k, 1.0 / k))
-        return float(lens.max() if objective == "max" else lens.sum())
-
-    m = len(cand)
-    left = cand[i - 1] - (period if i == 0 else 0.0)
-    right = cand[(i + 1) % m] + (period if i == m - 1 else 0.0)
-    for a, b in ((left, best_shift), (best_shift, right)):
-        x, y = golden_section(obj, a, b, tol=1e-10)
-        if y < best_val:
-            best_shift, best_val = x % period, y
-    return best_shift, uniform_partition(curve, k, best_shift)
+    x, y = golden_section(cost, lo, brk[1:], tol=1e-12)
+    cand = np.concatenate((lo, x))
+    i = int(np.argmin(np.concatenate((cost(lo), y))))
+    return float(cand[i]), uniform_partition(curve, k, float(cand[i]))
 
 
-def _long_short_cover(curve: ClosedCurve, k: int, s: float, grid_size: int,
-                      tag: str) -> Cover:
+def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:
     if k < 3:
         raise KTooSmall("k must be >= 3")
-    if not curve.is_unit_length:
-        raise NotNormalized("construction requires a unit-length curve")
-    t1, _ = min_chord_start(curve, s, grid_size)
+    _require_unit(curve)
+    t1, _ = min_chord_start(curve, s)
     short = (1.0 - s) / (k - 1)
     starts = np.concatenate(([t1], np.mod(t1 + s + np.arange(k - 1) * short, 1.0)))
     fracs = np.concatenate(([s], np.full(k - 1, short)))
@@ -122,19 +127,25 @@ def _long_short_cover(curve: ClosedCurve, k: int, s: float, grid_size: int,
 
 def theorem2_partition(curve: ClosedCurve, k: int, grid_size: int = 4096) -> Cover:
     """Long arc of length 1/k + (k-1)/(8k^4) at a minimum-chord start,
-    plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4)."""
+    plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4).
+    ``grid_size`` (>= 2) is accepted for compatibility and has no effect."""
+    if grid_size < 2:
+        raise OutOfRange("grid_size must be >= 2")
     eps = 1.0 / (8.0 * k**4)
     s = 1.0 / k + (k - 1) * eps
-    return _long_short_cover(curve, k, s, grid_size, "theorem2")
+    return _long_short_cover(curve, k, s, "theorem2")
 
 
 def optimized_partition(curve: ClosedCurve, k: int, grid_size: int = 4096) -> Cover:
     """Same construction with the tuned arc length s_k, guaranteeing
-    gamma <= 2(1 - s_k)/(k - 1)."""
+    gamma <= 2(1 - s_k)/(k - 1).  ``grid_size`` (>= 2) is accepted for
+    compatibility and has no effect."""
     if k < 3:
         raise KTooSmall("k must be >= 3")
+    if grid_size < 2:
+        raise OutOfRange("grid_size must be >= 2")
     s_k, _ = bounds.solve_sk(k)
-    return _long_short_cover(curve, k, s_k, grid_size, "optimized")
+    return _long_short_cover(curve, k, s_k, "optimized")
 
 
 def cover_metrics(curve: ClosedCurve, cover: Cover) -> CoverMetrics:

@@ -32,3 +32,9 @@ def circle(corpus):
 @pytest.fixture(scope="session")
 def square(corpus):
     return corpus["square"]
+
+
+@pytest.fixture(scope="session")
+def random4k():
+    """A 4,096-vertex random closed curve in R^5, where grid searches miss."""
+    return generate(CurveSpec("random_closed", {"n": 4096, "seed": 7}, dim=5))

@@ -5,6 +5,7 @@ import pytest
 
 from curvecover import (CurveSpec, QuadratureConfig, average_chord, build_curve,
                         chord_length, generate, golden_section, min_chord_start)
+from curvecover.chords import _breakpoints
 from curvecover.errors import NotNormalized, OutOfRange
 
 SAMPLED = QuadratureConfig("sampled", 64)
@@ -88,16 +89,22 @@ class TestMinChordStart:
         # corner-aligned arcs have a strictly longer chord
         assert chord < chord_length(square, 0.0, 0.25) - 1e-3
 
-    def test_min_dominated_by_any_sample(self, corpus):
-        for curve in corpus.values():
-            for s in (0.1, 0.3):
-                _, chord = min_chord_start(curve, s, grid_size=512)
-                assert chord <= float(chord_length(curve, 0.0, s)) + 1e-12
+    def test_min_dominated_by_any_sample(self, corpus, random4k):
+        ts = np.arange(200_000) / 200_000
+        for name, curve in {**corpus, "random4k": random4k}.items():
+            for s in (0.05, 0.1, 0.3):
+                t_star, chord = min_chord_start(curve, s, grid_size=512)
+                samples = np.concatenate((ts, _breakpoints(curve, s)))
+                brute = float(np.min(chord_length(curve, samples, s)))
+                assert chord <= brute + 1e-12, (name, s, chord - brute)
+                assert chord == pytest.approx(
+                    float(chord_length(curve, t_star, s)), rel=1e-9, abs=1e-15)
 
     def test_min_below_average(self, corpus):
         for name, curve in corpus.items():
-            _, chord = min_chord_start(curve, 0.25)
-            assert chord <= average_chord(curve, 0.25) + 1e-8, name
+            for s in S_VALUES:
+                _, chord = min_chord_start(curve, s)
+                assert chord <= average_chord(curve, s) + 1e-12, (name, s)
 
     def test_rigid_motion_invariance(self, square):
         theta = 0.7
@@ -122,3 +129,15 @@ def test_golden_section_quadratic():
     x, y = golden_section(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-10)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert y == pytest.approx(1.0, abs=1e-14)
+
+
+def test_golden_section_batched():
+    # independent brackets, minima inside, at either end and in a
+    # zero-width bracket, refined together to the requested width
+    lo = np.array([0.0, 1.0, -2.0, 0.5])
+    hi = np.array([1.0, 3.0, -1.0, 0.5])
+    target = np.array([0.3, 5.0, -5.0, 0.5])
+    x, y = golden_section(lambda t: np.abs(t - target), lo, hi, tol=1e-12)
+    assert x.shape == y.shape == (4,)
+    assert np.allclose(x, np.clip(target, lo, hi), atol=1e-12)
+    assert np.allclose(y, np.abs(x - target), atol=0.0)

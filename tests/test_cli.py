@@ -172,12 +172,36 @@ class TestVerify:
                                 lambda curve, s: bound + 1e-3)
         else:
             monkeypatch.setattr(chords, "min_chord_start",
-                                lambda curve, s, grid: (0.125, bound + 1e-3))
+                                lambda curve, s: (0.125, bound + 1e-3))
         assert main(["verify", square_file, "--s", "0.25"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"FAIL: {check} at s=0.25 ")
         assert err[0].endswith(" by 0.001")
+
+    def test_tol_sets_the_slack(self, square_file, monkeypatch):
+        bound = math.sin(math.pi * 0.25) / math.pi
+        monkeypatch.setattr(chords, "min_chord_start",
+                            lambda curve, s: (0.125, bound + 1e-3))
+        assert main(["verify", square_file, "--s", "0.25"]) == 1
+        assert main(["verify", square_file, "--s", "0.25", "--tol", "1e-2"]) == 0
+
+    def test_readme_example(self, circle_file, capsys):
+        # `curvecover verify circle.json --s 0.05 0.25 0.5` from the README
+        assert main(["verify", circle_file, "--s", "0.05", "0.25", "0.5",
+                     "--render", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["s"] for r in results] == [0.05, 0.25, 0.5]
+        for r in results:
+            assert r["min_chord"]["chord"] <= r["average_chord"], r["s"]
+
+
+def test_grid_flag_removed(circle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", circle_file, "--k", "3", "--mode", "best",
+              "--grid", "64"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
 
 
 class TestDeterminism:

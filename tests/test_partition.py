@@ -71,6 +71,29 @@ class TestBestUniformShift:
     def test_bad_grid_size(self, circle):
         with pytest.raises(OutOfRange):
             best_uniform_shift(circle, 3, "max", 1)
+        with pytest.raises(OutOfRange):
+            theorem2_partition(circle, 3, 1)
+        with pytest.raises(OutOfRange):
+            optimized_partition(circle, 3, 1)
+
+    def test_needs_unit_length(self):
+        from curvecover import build_curve
+        c = build_curve([(0, 0), (2, 0), (2, 2), (0, 2)])
+        with pytest.raises(NotNormalized):
+            best_uniform_shift(c, 3)
+
+    @pytest.mark.parametrize("objective", ["max", "avg"])
+    def test_oracle_random4k(self, random4k, objective):
+        k = 13
+        shifts = np.arange(100_000) / (100_000 * k)
+        starts = np.mod(shifts[:, None] + np.arange(k)[None, :] / k, 1.0)
+        chords = np.asarray(chord_length(random4k, starts.ravel(), 1.0 / k))
+        lengths = 1.0 / k + chords.reshape(starts.shape)
+        reduce = np.max if objective == "max" else np.sum
+        brute = float(reduce(lengths, axis=1).min())
+        shift, cover = best_uniform_shift(random4k, k, objective)
+        assert 0.0 <= shift < 1.0 / k
+        assert float(reduce(cover.piece_lengths)) <= brute + 1e-12
 
 
 class TestTheorem2Partition:
