@@ -166,21 +166,18 @@ def golden_section(f, a, b, tol: float = 1e-10):
     return np.where(first, c, d)[()], np.where(first, yc, yd)[()]
 
 
-def min_chord_start(curve: ClosedCurve, s: float, grid_size: int = 4096):
+def min_chord_start(curve: ClosedCurve, s: float):
     """Start parameter minimizing the chord spanned by an arc of length s.
 
     Exact: on each breakpoint cell [t0, t1] the chord is ||a + b t||, so
     its minimum is at t* = clip(-a.b / |b|^2, t0, t1), or at t0 where
     b = 0; it never exceeds the average chord.  Ties: the smallest t
     whose cell minimum is within a relative ``MIN_TIE_RTOL`` of the
-    global minimum wins.  ``grid_size`` (>= 2) is accepted for
-    compatibility and has no effect.  Returns (t_star, chord).
+    global minimum wins.  Returns (t_star, chord).
     """
     _require_unit(curve)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    if grid_size < 2:
-        raise OutOfRange("grid_size must be >= 2")
     brk = _breakpoints(curve, s)
     t0, t1 = brk[:-1], brk[1:]
     a, b = _affine_pieces(curve, s, brk)

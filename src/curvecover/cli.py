@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands:
-  gen        write a corpus curve to a file
+  gen        write a corpus curve to --out FILE
   bounds     print the bounds table
   partition  build a cover of a curve file and check its certified bound
   sweep      tabulate beta/gamma of the uniform cover over a shift grid
   verify     check the average-chord inequality on a curve file
 
-Exit status is 0 only if every certified verdict passes.
+Every command but gen writes a report to --out FILE (default stdout)
+as --render json, csv or table; table is the aligned table for bounds,
+the CSV for sweep and the JSON for partition and verify.  partition,
+sweep and verify take --tol, the slack allowed on each verdict, and
+print one FAIL line on stderr per failed verdict.  Exit status: 0 if
+every certified verdict passes, 1 if one fails, 2 on bad input.
 """
 
 import argparse
@@ -15,101 +20,90 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bounds as bnd
 from . import chords, curveio, generators, partition as part
 from .curve import _assemble
 from .errors import BadFlag, CurveCoverError, OutOfRange
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_normalized(path, report_notes: list):
+def _load_normalized(path):
+    """(curve, notes): the curve file scaled to unit length, with a note
+    when it had to be."""
     curve = curveio.load_curve(path)
-    if not curve.is_unit_length:
-        report_notes.append(
-            f"input curve length {curve.length:.12g} != 1; auto-normalized")
-        # same merged vertices, so equal to load_curve(path, normalize=True)
-        curve = _assemble(curve.vertices, normalize=True)
-    return curve
+    if curve.is_unit_length:
+        return curve, []
+    note = f"input curve length {curve.length:.12g} != 1; auto-normalized"
+    # same merged vertices, so equal to load_curve(path, normalize=True)
+    return _assemble(curve.vertices, normalize=True), [note]
 
 
 def _fmt3(x):
     return "--" if x is None else f"{x:.3f}"
 
 
-def cmd_bounds(args) -> int:
+# Each report command returns (views, fails): views maps every --render
+# mode to a JSON doc (dict) or to a list of lines; fails are the FAIL lines.
+
+def cmd_bounds(args):
     if args.kmax < 1:
         raise BadFlag("--kmax must be >= 1")
     rows = bnd.table1(args.kmax)
-    if args.render == "csv":
-        lines = ["k,lower,bkk_upper,new_upper,s_k"]
-        for r in rows:
-            sk = "" if r.s_k is None else repr(r.s_k)
-            lines.append(f"{r.k},{r.lower!r},{r.bkk_upper!r},{r.new_upper!r},{sk}")
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.render == "json":
-        lo, bk, nw = bnd.rendered_rows(rows)
-        doc = {
-            "command": "bounds",
-            "kmax": args.kmax,
-            "rows": [
-                {"k": r.k, "lower": r.lower, "bkk_upper": r.bkk_upper,
-                 "new_upper": r.new_upper, "s_k": r.s_k}
-                for r in rows
-            ],
-            "rendered": {"lower": lo, "bkk_upper": bk, "new_upper": nw},
-        }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    else:
-        lo, bk, nw = bnd.rendered_rows(rows)
-        ks = [r.k for r in rows]
-        width = 16
-        lines = [
-            "k".ljust(width) + " ".join(f"{k:>6d}" for k in ks),
-            "lower".ljust(width) + " ".join(f"{_fmt3(x):>6}" for x in lo),
-            "bkk_upper".ljust(width) + " ".join(f"{_fmt3(x):>6}" for x in bk),
-            "new_upper".ljust(width) + " ".join(f"{_fmt3(x):>6}" for x in nw),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    rendered = dict(zip(("lower", "bkk_upper", "new_upper"),
+                        bnd.rendered_rows(rows)))
+    doc = {
+        "command": "bounds",
+        "kmax": args.kmax,
+        "rows": [
+            {"k": r.k, "lower": r.lower, "bkk_upper": r.bkk_upper,
+             "new_upper": r.new_upper, "s_k": r.s_k}
+            for r in rows
+        ],
+        "rendered": rendered,
+    }
+    csv = ["k,lower,bkk_upper,new_upper,s_k"]
+    for r in rows:
+        sk = "" if r.s_k is None else repr(r.s_k)
+        csv.append(f"{r.k},{r.lower!r},{r.bkk_upper!r},{r.new_upper!r},{sk}")
+    table = ["k".ljust(16) + " ".join(f"{r.k:>6d}" for r in rows)]
+    table += [name.ljust(16) + " ".join(f"{_fmt3(x):>6}" for x in values)
+              for name, values in rendered.items()]
+    return {"json": doc, "csv": csv, "table": table}, []
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
+    if not args.out:
+        raise BadFlag("gen requires --out FILE")
     params = {}
     for kv in args.params or []:
-        if "=" not in kv:
+        key, eq, val = kv.partition("=")
+        if not eq:
             raise BadFlag(f"--params entries must be key=value, got {kv!r}")
-        key, val = kv.split("=", 1)
-        params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+        try:
+            num = float(val) if "." in val or "e" in val.lower() else int(val)
+        except ValueError:
+            num = math.nan
+        if isinstance(num, float) and not math.isfinite(num):
+            raise BadFlag(f"--params values must be finite numbers, got {kv!r}")
+        params[key] = num
     spec = generators.CurveSpec(kind=args.kind, params=params,
                                 resolution=args.resolution, dim=args.dim,
                                 normalize=not args.no_normalize)
-    curve = generators.generate(spec)
-    if not args.out:
-        raise BadFlag("gen requires --out FILE")
-    curveio.save_curve(curve, args.out)
-    return 0
+    curveio.save_curve(generators.generate(spec), args.out)
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args):
     if args.k < 1:
         raise BadFlag("--k must be >= 1")
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
-    notes: list = []
-    curve = _load_normalized(args.curve, notes)
+    curve, notes = _load_normalized(args.curve)
     k = args.k
     if args.mode == "uniform":
-        shift = args.shift or 0.0
-        cover = part.uniform_partition(curve, k, shift)
+        shift_or_s = args.shift or 0.0
+        cover = part.uniform_partition(curve, k, shift_or_s)
         bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
-        shift_or_s = shift
     elif args.mode == "best":
         shift_or_s, cover = part.best_uniform_shift(curve, k, "max")
         bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
@@ -119,65 +113,50 @@ def cmd_partition(args) -> int:
         shift_or_s = cover.pieces[0].length_frac
     else:  # optimized
         cover = part.optimized_partition(curve, k)
-        s_k, bound = bnd.solve_sk(k)
-        shift_or_s = s_k
+        shift_or_s, bound = bnd.solve_sk(k)
     report = part.cover_report(curve, cover, bound, shift_or_s, tol=args.tol)
     report["command"] = "partition"
     report["notes"] = notes
-    if args.render == "csv":
-        lines = ["t_start,length_frac,piece_length"]
-        lines += [f"{p['t_start']!r},{p['length_frac']!r},{p['piece_length']!r}"
-                  for p in report["pieces"]]
-        lines.append(f"# gamma={report['gamma']!r} bound={report['bound']!r} "
-                     f"pass={report['bound_satisfied']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
-    if not report["bound_satisfied"]:
-        print(f"FAIL: gamma {report['gamma']} exceeds certified bound "
-              f"{report['bound']}", file=sys.stderr)
-        return 1
-    return 0
+    csv = ["t_start,length_frac,piece_length"]
+    csv += [f"{p['t_start']!r},{p['length_frac']!r},{p['piece_length']!r}"
+            for p in report["pieces"]]
+    csv.append(f"# gamma={report['gamma']!r} bound={report['bound']!r} "
+               f"pass={report['bound_satisfied']}")
+    fails = [] if report["bound_satisfied"] else [
+        f"FAIL: gamma {report['gamma']} exceeds certified bound {report['bound']}"]
+    return {"json": report, "csv": csv, "table": report}, fails
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if args.samples < 2:
         raise BadFlag("--samples must be >= 2")
     if args.k < 1:
         raise BadFlag("--k must be >= 1")
-    notes: list = []
-    curve = _load_normalized(args.curve, notes)
+    curve, notes = _load_normalized(args.curve)
     k = args.k
-    shifts = [j / (k * args.samples) for j in range(args.samples)]
-    rows = []
-    for sh in shifts:
-        cover = part.uniform_partition(curve, k, sh)
-        m = part.cover_metrics(curve, cover)
-        rows.append((sh, m.beta, m.gamma))
-    mean_beta = math.fsum(r[1] for r in rows) / len(rows)
+    # row j is the uniform cover with shift j / (k samples)
+    shifts = np.arange(args.samples) / (k * args.samples)
+    starts = np.mod(shifts[:, None] + np.arange(k) / k, 1.0)
+    lengths = part._piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
+    betas = lengths.sum(axis=1) / (k * curve.length)
+    gammas = lengths.max(axis=1) / curve.length
+    rows = list(zip(shifts.tolist(), betas.tolist(), gammas.tolist()))
+    mean_beta = math.fsum(betas.tolist()) / len(rows)
     bound = bnd.beta_extremal(k)
     ok = mean_beta <= bound + args.tol
-    if args.render == "json":
-        doc = {"command": "sweep", "k": k, "samples": args.samples,
-               "rows": [{"shift": a, "beta": b, "gamma": g} for a, b, g in rows],
-               "mean_beta": mean_beta, "beta_bound": bound,
-               "mean_beta_within_bound": ok, "notes": notes}
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    else:
-        lines = ["shift,beta,gamma"]
-        lines += [f"{a!r},{b!r},{g!r}" for a, b, g in rows]
-        lines.append(f"# mean_beta={mean_beta!r} bound={bound!r} pass={ok}")
-        _emit("\n".join(lines) + "\n", args.out)
-    if not ok:
-        print(f"FAIL: mean beta {mean_beta} exceeds bound {bound}",
-              file=sys.stderr)
-        return 1
-    return 0
+    doc = {"command": "sweep", "k": k, "samples": args.samples,
+           "rows": [{"shift": a, "beta": b, "gamma": g} for a, b, g in rows],
+           "mean_beta": mean_beta, "beta_bound": bound,
+           "mean_beta_within_bound": ok, "notes": notes}
+    csv = ["shift,beta,gamma"]
+    csv += [f"{a!r},{b!r},{g!r}" for a, b, g in rows]
+    csv.append(f"# mean_beta={mean_beta!r} bound={bound!r} pass={ok}")
+    fails = [] if ok else [f"FAIL: mean beta {mean_beta} exceeds bound {bound}"]
+    return {"json": doc, "csv": csv, "table": csv}, fails
 
 
-def cmd_verify(args) -> int:
-    notes: list = []
-    curve = _load_normalized(args.curve, notes)
+def cmd_verify(args):
+    curve, notes = _load_normalized(args.curve)
     results, fails = [], []
     for s in args.s:
         if not (0.0 <= s <= 0.5):
@@ -196,32 +175,27 @@ def cmd_verify(args) -> int:
         fails += [f"FAIL: {name} at s={s!r} is {v!r}, above sin(pi s)/pi = "
                   f"{bound!r} by {v - bound:.3g}" for name, v, ok in checked if not ok]
         results.append(entry)
-    if args.render == "csv":
-        lines = ["s,average_chord,bound,slack,pass"]
-        lines += [f"{r['s']!r},{r['average_chord']!r},{r['bound']!r},"
-                  f"{r['slack']!r},{r['pass']}" for r in results]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {"command": "verify", "results": results, "notes": notes}
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    for line in fails:
-        print(line, file=sys.stderr)
-    return 1 if fails else 0
+    doc = {"command": "verify", "results": results, "notes": notes}
+    csv = ["s,average_chord,bound,slack,pass"]
+    csv += [f"{r['s']!r},{r['average_chord']!r},{r['bound']!r},"
+            f"{r['slack']!r},{r['pass']}" for r in results]
+    return {"json": doc, "csv": csv, "table": doc}, fails
+
+
+def _report_flags(sp, tol=None):
+    sp.add_argument("--out", default=None, help="output file (default stdout)")
+    sp.add_argument("--render", choices=("table", "json", "csv"), default="table")
+    if tol is not None:
+        sp.add_argument("--tol", type=float, default=tol, help="verdict slack")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="curvecover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=1e-6):
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--render", choices=("table", "json", "csv"),
-                        default="table")
-        sp.add_argument("--tol", type=float, default=tol, help="verdict slack")
-
     sp = sub.add_parser("bounds", help="print the bounds table")
     sp.add_argument("--kmax", type=int, required=True)
-    common(sp)
+    _report_flags(sp)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("gen", help="generate a corpus curve file")
@@ -230,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution", type=int, default=4096)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--no-normalize", action="store_true")
-    common(sp)
+    sp.add_argument("--out", required=True,
+                    help="curve file to write (json or csv by extension)")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("partition", help="cover a curve file with k pieces")
@@ -239,32 +214,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("uniform", "best", "theorem2", "optimized"),
                     default="uniform")
     sp.add_argument("--shift", type=float, default=None)
-    common(sp)
+    _report_flags(sp, tol=1e-6)
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("sweep", help="uniform-cover metrics over a shift grid")
     sp.add_argument("curve")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, default=1024)
-    common(sp)
+    _report_flags(sp, tol=1e-6)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="check the average-chord inequality")
     sp.add_argument("curve")
     sp.add_argument("--s", type=float, nargs="+", required=True)
-    common(sp, tol=1e-9)
+    _report_flags(sp, tol=1e-9)
     sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except CurveCoverError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if report is None:  # gen wrote its curve file
+        return 0
+    views, fails = report
+    view = views[args.render]
+    text = (json.dumps(view, sort_keys=True) if isinstance(view, dict)
+            else "\n".join(view)) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    for line in fails:
+        print(line, file=sys.stderr)
+    return 1 if fails else 0
 
 
 if __name__ == "__main__":

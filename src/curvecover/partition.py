@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds
 from .chords import _affine_pieces, _require_unit, golden_section, min_chord_start
 from .curve import Arc, ClosedCurve, chord_length
-from .errors import KTooSmall, NotAPartition, OutOfRange
+from .errors import KTooSmall, NotAPartition
 
 PARTITION_TOL = 1e-9
 
@@ -62,22 +62,18 @@ def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     return Cover(arcs, lengths, "uniform")
 
 
-def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max",
-                       grid_size: int = 4096):
+def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     """Shift minimizing gamma (``max``) or beta (``avg``) of the uniform cover.
 
     Requires a unit-length curve.  Shifts where an arc endpoint crosses
     a vertex cut [0, 1/k) into cells; on a cell each arc's chord is the
     norm of an affine function of the shift, so the objective is convex
     there.  One batched golden-section search refines every cell to
-    1e-12, and the best cell start or refined point wins.  ``grid_size``
-    (>= 2) is accepted for compatibility and has no effect.  Returns
+    1e-12, and the best cell start or refined point wins.  Returns
     (shift_star, cover).
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
-    if grid_size < 2:
-        raise OutOfRange("grid_size must be >= 2")
     if objective not in ("max", "avg"):
         raise ValueError(f"objective must be 'max' or 'avg', got {objective!r}")
     _require_unit(curve)
@@ -125,25 +121,19 @@ def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:
     return Cover(arcs, lengths, tag)
 
 
-def theorem2_partition(curve: ClosedCurve, k: int, grid_size: int = 4096) -> Cover:
+def theorem2_partition(curve: ClosedCurve, k: int) -> Cover:
     """Long arc of length 1/k + (k-1)/(8k^4) at a minimum-chord start,
-    plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4).
-    ``grid_size`` (>= 2) is accepted for compatibility and has no effect."""
-    if grid_size < 2:
-        raise OutOfRange("grid_size must be >= 2")
+    plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4)."""
     eps = 1.0 / (8.0 * k**4)
     s = 1.0 / k + (k - 1) * eps
     return _long_short_cover(curve, k, s, "theorem2")
 
 
-def optimized_partition(curve: ClosedCurve, k: int, grid_size: int = 4096) -> Cover:
+def optimized_partition(curve: ClosedCurve, k: int) -> Cover:
     """Same construction with the tuned arc length s_k, guaranteeing
-    gamma <= 2(1 - s_k)/(k - 1).  ``grid_size`` (>= 2) is accepted for
-    compatibility and has no effect."""
+    gamma <= 2(1 - s_k)/(k - 1)."""
     if k < 3:
         raise KTooSmall("k must be >= 3")
-    if grid_size < 2:
-        raise OutOfRange("grid_size must be >= 2")
     s_k, _ = bounds.solve_sk(k)
     return _long_short_cover(curve, k, s_k, "optimized")
 

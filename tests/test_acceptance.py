@@ -114,7 +114,7 @@ def test_criterion_5_averaging(corpus):
             mean_beta = float(betas.mean())
             if mean_beta > bound + 1e-6:
                 failures.append(f"{name} k={k}: mean beta {mean_beta} > {bound}")
-            _, cover = best_uniform_shift(curve, k, "avg", grid_size=1024)
+            _, cover = best_uniform_shift(curve, k, "avg")
             best = cover_metrics(curve, cover).beta
             if best > bound + 1e-6:
                 failures.append(f"{name} k={k}: best beta {best} > {bound}")
@@ -126,10 +126,10 @@ def test_criterion_6_construction_certificates(corpus):
     failures = []
     for name, curve in corpus.items():
         for k in range(3, 11):
-            g2 = cover_metrics(curve, theorem2_partition(curve, k, 4096)).gamma
+            g2 = cover_metrics(curve, theorem2_partition(curve, k)).gamma
             if g2 > gamma_upper_refined(k) + 1e-6:
                 failures.append(f"{name} k={k} theorem2: {g2}")
-            g_opt = cover_metrics(curve, optimized_partition(curve, k, 4096)).gamma
+            g_opt = cover_metrics(curve, optimized_partition(curve, k)).gamma
             if g_opt > solve_sk(k)[1] + 1e-6:
                 failures.append(f"{name} k={k} optimized: {g_opt}")
     finish("CRITERION 6", failures, t0, limit=60.0)
@@ -148,7 +148,7 @@ def test_criterion_7_oracle_equivalence(corpus):
     for name in ("square", "circle"):
         curve = corpus[name]
         for s in (0.25, 0.3):
-            _, chord = min_chord_start(curve, s, 4096)
+            _, chord = min_chord_start(curve, s)
             grid = np.arange(1_000_000) / 1_000_000
             brute = float(np.min(chord_length(curve, grid, s)))
             if abs(chord - brute) > 1e-6:

@@ -93,7 +93,7 @@ class TestMinChordStart:
         ts = np.arange(200_000) / 200_000
         for name, curve in {**corpus, "random4k": random4k}.items():
             for s in (0.05, 0.1, 0.3):
-                t_star, chord = min_chord_start(curve, s, grid_size=512)
+                t_star, chord = min_chord_start(curve, s)
                 samples = np.concatenate((ts, _breakpoints(curve, s)))
                 brute = float(np.min(chord_length(curve, samples, s)))
                 assert chord <= brute + 1e-12, (name, s, chord - brute)
@@ -120,8 +120,6 @@ class TestMinChordStart:
             min_chord_start(circle, 0.0)
         with pytest.raises(OutOfRange):
             min_chord_start(circle, 0.6)
-        with pytest.raises(OutOfRange):
-            min_chord_start(circle, 0.25, grid_size=1)
 
 
 def test_golden_section_quadratic():

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from curvecover import (chords, cover_report, load_curve, optimized_partition,
-                        solve_sk)
+from curvecover import (bounds, chords, cover_metrics, cover_report, load_curve,
+                        optimized_partition, save_curve, solve_sk,
+                        uniform_partition)
 from curvecover.cli import main
 
 
@@ -108,7 +109,7 @@ class TestLoadOnce:
         raw = load_curve(path)
         curve = load_curve(path, normalize=True)
         s_k, bound = solve_sk(5)
-        expect = cover_report(curve, optimized_partition(curve, 5, 4096), bound,
+        expect = cover_report(curve, optimized_partition(curve, 5), bound,
                               s_k, tol=1e-6)
         expect["command"] = "partition"
         expect["notes"] = [
@@ -140,6 +141,25 @@ class TestSweep:
 
     def test_one_sample_rejected(self, circle_file):
         assert main(["sweep", circle_file, "--k", "3", "--samples", "1"]) == 2
+
+    def test_rows_match_per_shift_covers(self, corpus, tmp_path, capsys):
+        # the batched sweep against uniform_partition + cover_metrics per shift
+        samples = 64
+        for name, curve in corpus.items():
+            path = tmp_path / f"{name}.json"
+            save_curve(curve, path)
+            loaded = load_curve(path)
+            assert loaded.is_unit_length
+            for k in (1, 2, 3, 7, 13):
+                assert main(["sweep", str(path), "--k", str(k), "--samples",
+                             str(samples), "--render", "csv"]) == 0
+                rows = capsys.readouterr().out.splitlines()[1:-1]
+                expect = []
+                for j in range(samples):
+                    shift = j / (k * samples)
+                    m = cover_metrics(loaded, uniform_partition(loaded, k, shift))
+                    expect.append(f"{shift!r},{m.beta!r},{m.gamma!r}")
+                assert rows == expect, (name, k)
 
 
 class TestVerify:
@@ -202,6 +222,75 @@ def test_grid_flag_removed(circle_file, capsys):
               "--grid", "64"])
     assert exc.value.code == 2
     assert "--grid" in capsys.readouterr().err
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("argv, same_as", [
+        (["partition", "{circle}", "--k", "5", "--mode", "optimized"], "json"),
+        (["verify", "{circle}", "--s", "0.1", "0.5"], "json"),
+        (["sweep", "{circle}", "--k", "3", "--samples", "16"], "csv"),
+    ])
+    def test_table_mode(self, argv, same_as, circle_file, capsys):
+        argv = [a.format(circle=circle_file) for a in argv]
+        outs = []
+        for render in ("table", same_as):
+            assert main(argv + ["--render", render]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_out_file_matches_stdout(self, circle_file, tmp_path, capsys):
+        argv = ["verify", circle_file, "--s", "0.25", "--render", "csv"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
+    @pytest.mark.parametrize("argv, patch, line", [
+        (["partition", "{square}", "--k", "4"], "gamma_upper_simple",
+         "FAIL: gamma "),
+        (["sweep", "{square}", "--k", "4", "--samples", "16"], "beta_extremal",
+         "FAIL: mean beta "),
+    ])
+    def test_failure_prints_one_line(self, argv, patch, line, square_file,
+                                     monkeypatch, capsys):
+        monkeypatch.setattr(bounds, patch, lambda k: 0.1)
+        argv = [a.format(square=square_file) for a in argv]
+        assert main(argv + ["--render", "json"]) == 1
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # the report is still written in full
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(line) and err[0].endswith(" 0.1")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bounds", "--kmax", "3", "--tol", "1e-3"], "--tol"),
+        (["gen", "--kind", "circle", "--out", "{out}", "--tol", "1e-3"], "--tol"),
+        (["gen", "--kind", "circle", "--out", "{out}", "--render", "json"],
+         "--render"),
+        (["gen", "--kind", "circle"], "--out"),
+    ])
+    def test_unread_flags_rejected(self, argv, flag, tmp_path, monkeypatch,
+                                   capsys):
+        def no_curve(spec):
+            raise AssertionError("curve built before the flags were checked")
+
+        monkeypatch.setattr("curvecover.generators.generate", no_curve)
+        out = tmp_path / "c.json"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_gen_non_numeric_param(self, value, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        assert main(["gen", "--kind", "ellipse", "--params", "b=1.0",
+                     f"a={value}", "--out", str(out)]) == 2
+        assert f"'a={value}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift,
                         chord_length, cover_metrics, cover_report,
                         gamma_upper_refined, optimized_partition, solve_sk,
                         theorem2_partition, uniform_partition)
-from curvecover.errors import KTooSmall, NotAPartition, NotNormalized, OutOfRange
+from curvecover.errors import KTooSmall, NotAPartition, NotNormalized
 
 
 class TestUniformPartition:
@@ -43,7 +43,7 @@ class TestUniformPartition:
 
 class TestBestUniformShift:
     def test_circle_avg_matches_extremal(self, circle):
-        _, cover = best_uniform_shift(circle, 3, "avg", grid_size=256)
+        _, cover = best_uniform_shift(circle, 3, "avg")
         m = cover_metrics(circle, cover)
         assert m.beta == pytest.approx(beta_extremal(3), abs=1e-4)
         assert m.beta <= beta_extremal(3) + 1e-6
@@ -61,20 +61,12 @@ class TestBestUniformShift:
         assert shift == pytest.approx(0.125, abs=1e-8)
 
     def test_k1_trivial(self, circle):
-        _, cover = best_uniform_shift(circle, 1, "max", grid_size=16)
+        _, cover = best_uniform_shift(circle, 1, "max")
         assert cover_metrics(circle, cover).gamma == pytest.approx(1.0)
 
     def test_bad_objective(self, circle):
         with pytest.raises(ValueError):
             best_uniform_shift(circle, 3, "median")
-
-    def test_bad_grid_size(self, circle):
-        with pytest.raises(OutOfRange):
-            best_uniform_shift(circle, 3, "max", 1)
-        with pytest.raises(OutOfRange):
-            theorem2_partition(circle, 3, 1)
-        with pytest.raises(OutOfRange):
-            optimized_partition(circle, 3, 1)
 
     def test_needs_unit_length(self):
         from curvecover import build_curve
