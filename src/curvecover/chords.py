@@ -2,9 +2,10 @@
 
 The central quantity is the mean length of the chord spanned by an arc
 of length s, averaged over all starting points of a unit-length closed
-curve.  On a polyline the integrand is piecewise the norm of an affine
-vector function of the parameter, so the integral has a closed form on
-each piece; ``average_chord`` sums those pieces exactly.
+curve.  One cell kernel serves every chord computation: ``_cells`` cuts
+[0, 1) where t or t+s crosses a vertex, and on each cell the chord is
+||a + b t||.  ``average_chord`` integrates it in closed form,
+``min_chord_start`` minimizes it, and ``best_uniform_shift`` reads it.
 """
 
 import math
@@ -47,28 +48,35 @@ def _require_unit(curve: ClosedCurve):
         raise NotNormalized(f"curve length {curve.length} is not 1 within 1e-9")
 
 
-def _breakpoints(curve: ClosedCurve, s: float) -> np.ndarray:
-    """Parameters where t or t+s crosses a vertex, sorted with 0 and 1."""
-    u = curve.params[:-1]
-    return np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
-
-
-def _affine_pieces(curve: ClosedCurve, s: float, brk: np.ndarray):
-    """Coefficients (a, b) with r(t+s) - r(t) = a + b t on each interval."""
+def _affine_at(curve: ClosedCurve, s: float, mids: np.ndarray):
+    """Coefficients (a, b) with r(t+s) - r(t) = a + b t on the cells with
+    midpoints ``mids`` (any shape); a and b add a trailing axis of size d."""
     u = curve.params
-    mids = 0.5 * (brk[:-1] + brk[1:])
     i = np.clip(np.searchsorted(u, mids, side="right") - 1, 0, curve.n - 1)
     w = mids + s
     wrap = w >= 1.0
     j = np.clip(np.searchsorted(u, np.where(wrap, w - 1.0, w), side="right") - 1,
                 0, curve.n - 1)
     s_eff = np.where(wrap, s - 1.0, s)
-    ei = curve._tangents[i]
-    ej = curve._tangents[j]
+    ei, ej = curve._tangents[i], curve._tangents[j]
     a = (curve.vertices[j] - curve.vertices[i]
-         + (s_eff - u[j])[:, None] * ej + u[i][:, None] * ei)
+         + (s_eff - u[j])[..., None] * ej + u[i][..., None] * ei)
     b = ej - ei
     return a, b
+
+
+def _cells(curve: ClosedCurve, s: float):
+    """Sorted cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex,
+    and (a, b) with r(t+s) - r(t) = a + b t on each: (t0, t1, a, b)."""
+    u = curve.params[:-1]
+    brk = np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
+    t0, t1 = brk[:-1], brk[1:]
+    return (t0, t1) + _affine_at(curve, s, 0.5 * (t0 + t1))
+
+
+def _quadratic(a, b):
+    """(A, B, C) = (|b|^2, a.b, |a|^2): ||a + b t||^2 = A t^2 + 2 B t + C."""
+    return tuple(np.einsum("...d,...d->...", x, y) for x, y in ((b, b), (a, b), (a, a)))
 
 
 def _norm_affine_integral(a, b, t0, t1):
@@ -78,9 +86,7 @@ def _norm_affine_integral(a, b, t0, t1):
     h = (a.b)/A and D = |a|^2/A - h^2 >= 0; the antiderivative is the
     classical one in terms of asinh.
     """
-    A = np.einsum("ij,ij->i", b, b)
-    B = np.einsum("ij,ij->i", a, b)
-    C = np.einsum("ij,ij->i", a, a)
+    A, B, C = _quadratic(a, b)
     dt = t1 - t0
     out = np.empty_like(dt)
 
@@ -121,21 +127,18 @@ def average_chord(curve: ClosedCurve, s: float,
         raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
     if s == 0.0:
         return 0.0
-    brk = _breakpoints(curve, s)
-    t0, t1 = brk[:-1], brk[1:]
+    t0, t1, a, b = _cells(curve, s)
     if cfg.mode == "exact-piecewise":
-        a, b = _affine_pieces(curve, s, brk)
         return float(np.sum(_norm_affine_integral(a, b, t0, t1)))
-    # sampled: composite midpoint with the same breakpoints; long
-    # intervals (coarse polygons) are first split to at most 1/64 so the
-    # rule stays within 1e-6 of the closed form at the default settings
-    pieces = []
-    for p, q in zip(t0, t1):
-        parts = max(1, math.ceil((q - p) * 64.0))
-        edges = np.linspace(p, q, parts + 1)
-        pieces.append(np.column_stack((edges[:-1], edges[1:])))
-    spans = np.vstack(pieces)
-    p0, p1 = spans[:, 0], spans[:, 1]
+    # sampled: composite midpoint on the same cells, each first split into
+    # equal parts of at most 1/64 with np.linspace's edges, so the rule stays
+    # within 1e-6 of the closed form at the default settings (coarse polygons)
+    parts = np.maximum(1, np.ceil((t1 - t0) * 64.0)).astype(int)
+    cell = np.repeat(np.arange(len(t0)), parts)
+    i = np.arange(len(cell)) - np.repeat(np.cumsum(parts) - parts, parts)
+    step, start = ((t1 - t0) / parts)[cell], t0[cell]
+    p0 = i * step + start
+    p1 = np.where(i + 1 == parts[cell], t1[cell], (i + 1) * step + start)
     m = cfg.samples_per_breakpoint
     offs = (np.arange(m) + 0.5) / m
     ts = p0[:, None] + offs[None, :] * (p1 - p0)[:, None]
@@ -178,11 +181,8 @@ def min_chord_start(curve: ClosedCurve, s: float):
     _require_unit(curve)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    brk = _breakpoints(curve, s)
-    t0, t1 = brk[:-1], brk[1:]
-    a, b = _affine_pieces(curve, s, brk)
-    bb = np.einsum("ij,ij->i", b, b)
-    ab = np.einsum("ij,ij->i", a, b)
+    t0, t1, a, b = _cells(curve, s)
+    bb, ab, _ = _quadratic(a, b)
     t = np.clip(np.divide(-ab, bb, out=t0.copy(), where=bb > 0.0), t0, t1)
     v = a + b * t[:, None]
     chords = np.sqrt(np.einsum("ij,ij->i", v, v))

@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bnd
 from . import chords, curveio, generators, partition as part
 from .curve import _assemble
-from .errors import BadFlag, CurveCoverError, OutOfRange
+from .errors import BadFlag, CurveCoverError
 
 
 def _load_normalized(path):
@@ -159,8 +159,6 @@ def cmd_verify(args):
     curve, notes = _load_normalized(args.curve)
     results, fails = [], []
     for s in args.s:
-        if not (0.0 <= s <= 0.5):
-            raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
         value = chords.average_chord(curve, s)
         bound = math.sin(math.pi * s) / math.pi
         slack = bound - value
@@ -236,20 +234,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
+        if report is None:  # gen wrote its curve file
+            return 0
+        views, fails = report
+        view = views[args.render]
+        text = (json.dumps(view, sort_keys=True) if isinstance(view, dict)
+                else "\n".join(view)) + "\n"
+        if args.out:
+            curveio._write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except CurveCoverError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if report is None:  # gen wrote its curve file
-        return 0
-    views, fails = report
-    view = views[args.render]
-    text = (json.dumps(view, sort_keys=True) if isinstance(view, dict)
-            else "\n".join(view)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     for line in fails:
         print(line, file=sys.stderr)
     return 1 if fails else 0

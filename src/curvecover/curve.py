@@ -94,6 +94,8 @@ def _assemble(arr: np.ndarray, normalize: bool) -> ClosedCurve:
     total = float(seg.sum())
     if total <= 0.0:
         raise DegenerateCurve("zero total length")
+    if not np.isfinite(total):
+        raise DegenerateCurve(f"total length is not finite ({total})")
     if normalize:
         arr = arr / total
         edges = edges / total
@@ -120,7 +122,7 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         d < 2.
     DegenerateCurve
         If there are no vertices, a coordinate is NaN or infinite, fewer
-        than 3 distinct vertices remain, or L == 0.
+        than 3 distinct vertices remain, or L is 0 or overflows to inf.
     """
     try:
         arr = np.array(vertices, dtype=float, order="C")
@@ -138,10 +140,12 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         raise DimensionMismatch(f"dimension must be >= 2, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")
-    arr = _merge_duplicates(arr)
-    if arr.shape[0] < 3:
-        raise DegenerateCurve("need at least 3 distinct vertices")
-    return _assemble(arr, normalize)
+    # a length that overflows is inf: never merged, and rejected as a total
+    with np.errstate(over="ignore"):
+        arr = _merge_duplicates(arr)
+        if arr.shape[0] < 3:
+            raise DegenerateCurve("need at least 3 distinct vertices")
+        return _assemble(arr, normalize)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ from .curve import ClosedCurve, build_curve
 from .errors import FileError
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise FileError(f"cannot write {path}: {e.strerror}") from e
+
+
 def save_curve(curve: ClosedCurve, path, fmt: str | None = None) -> None:
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
@@ -24,11 +31,11 @@ def save_curve(curve: ClosedCurve, path, fmt: str | None = None) -> None:
             "length_normalized": curve.is_unit_length,
             "vertices": curve.vertices.tolist(),
         }
-        path.write_text(json.dumps(doc) + "\n")
+        _write_text(path, json.dumps(doc) + "\n")
     elif fmt == "csv":
         lines = [f"# dim={curve.dim}"]
         lines += [",".join(repr(float(x)) for x in v) for v in curve.vertices]
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
     else:
         raise FileError(f"unknown curve format {fmt!r}")
 

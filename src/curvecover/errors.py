@@ -10,7 +10,7 @@ class DimensionMismatch(CurveCoverError):
 
 
 class DegenerateCurve(CurveCoverError):
-    """Fewer than 3 distinct vertices, or zero total length."""
+    """Fewer than 3 distinct vertices, or a zero or non-finite total length."""
 
 
 class NotNormalized(CurveCoverError):
@@ -50,4 +50,4 @@ class BadFlag(CurveCoverError):
 
 
 class FileError(CurveCoverError):
-    """A curve file could not be read or parsed."""
+    """A file could not be read, parsed or written."""

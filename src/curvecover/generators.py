@@ -34,8 +34,11 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
 
-KINDS = ("circle", "ellipse", "rectangle", "regular_polygon",
-         "random_closed", "lissajous3d")
+# the params each kind reads; generate rejects any other key
+PARAMS = {"circle": (), "ellipse": ("a", "b"), "rectangle": ("aspect",),
+          "regular_polygon": ("m",), "random_closed": ("n", "seed"),
+          "lissajous3d": ("freq_a", "freq_b")}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,8 @@ class CurveSpec:
 
     ``params`` is kind-specific: ellipse semi-axes ``a``/``b``,
     rectangle ``aspect``, polygon side count ``m``, random vertex count
-    ``n`` and ``seed``, lissajous frequencies ``freq_a``/``freq_b``.
+    ``n`` and ``seed``, lissajous frequencies ``freq_a``/``freq_b``
+    (``PARAMS``); any other key is rejected.
     """
 
     kind: str
@@ -78,6 +82,10 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     """Build the curve described by a spec; deterministic in the spec."""
     if spec.kind not in KINDS:
         raise BadSpec(f"unknown kind {spec.kind!r}")
+    unknown = sorted(set(spec.params) - set(PARAMS[spec.kind]))
+    if unknown:
+        raise BadSpec(f"{spec.kind} does not read params {unknown}; it reads "
+                      f"{list(PARAMS[spec.kind]) or 'none'}")
     if spec.kind in ("circle", "ellipse", "lissajous3d"):
         if spec.resolution < 3:
             raise BadSpec("resolution must be >= 3")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import _affine_pieces, _require_unit, golden_section, min_chord_start
+from .chords import (_affine_at, _quadratic, _require_unit, golden_section,
+                     min_chord_start)
 from .curve import Arc, ClosedCurve, chord_length
 from .errors import KTooSmall, NotAPartition
 
@@ -82,18 +83,13 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     period = 1.0 / k
     brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
                                     [0.0, period])))
-    lo, m = brk[:-1], len(brk)
-    # one breakpoint row per arc, shifted by j/k; the pairs that straddle
-    # two rows are dropped after the call
+    lo = brk[:-1]
+    # one row of cells per arc, shifted by j/k
     shifted = brk[None, :] + (np.arange(k) / k)[:, None]
-    a, b = _affine_pieces(curve, period, shifted.ravel())
-    cells = np.arange(k)[:, None] * m + np.arange(m - 1)[None, :]
-    a, b = a[cells], b[cells]
+    a, b = _affine_at(curve, period, 0.5 * (shifted[:, :-1] + shifted[:, 1:]))
     v0 = a + b * shifted[:, :-1, None]  # chord vector at each cell's start
-    # ||v0 + b tau||^2 = qa tau^2 + qb tau + qc with tau = sigma - lo
-    qa = np.einsum("jcd,jcd->jc", b, b)
-    qb = 2.0 * np.einsum("jcd,jcd->jc", v0, b)
-    qc = np.einsum("jcd,jcd->jc", v0, v0)
+    qa, qb, qc = _quadratic(v0, b)
+    qb *= 2.0  # ||v0 + b tau||^2 = qa tau^2 + qb tau + qc, tau = sigma - lo
 
     def cost(sigma):
         tau = sigma - lo

@@ -292,6 +292,33 @@ class TestReportPath:
         assert f"'a={value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{circle}", "--k", "3", "--samples", "4", "--out",
+         "{tmp}/nodir/x.csv"],
+        ["sweep", "{circle}", "--k", "3", "--samples", "4", "--out", "{tmp}"],
+        ["gen", "--kind", "circle", "--out", "{tmp}/nodir/c.json"],
+    ])
+    def test_unwritable_out(self, argv, circle_file, tmp_path, capsys):
+        argv = [a.format(circle=circle_file, tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {argv[-1]}: ")
+
+    @pytest.mark.parametrize("params, message", [
+        (["--kind", "circle", "--params", "bogus=1"], "does not read params"),
+        (["--kind", "rectangle", "--params", "aspct=10"], "reads ['aspect']"),
+        (["--kind", "ellipse", "--params", "a=1e308"], "not finite"),
+    ])
+    def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["gen"] + params + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, circle_file, capsys):

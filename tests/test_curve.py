@@ -61,6 +61,11 @@ class TestBuildCurve:
         with pytest.raises(DegenerateCurve, match="non-finite"):
             build_curve(pts)
 
+    def test_overflowing_length_rejected(self):
+        # every coordinate is finite, but the total length is not
+        with pytest.raises(DegenerateCurve, match="total length is not finite"):
+            build_curve([[0, 0], [1e308, 0], [0, 1e308]])
+
     def test_input_copied(self):
         pts = np.array(SQUARE)
         c = build_curve(pts)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,3 +82,13 @@ class TestGenerate:
     def test_bad_specs(self, spec):
         with pytest.raises(BadSpec):
             generate(spec)
+
+    @pytest.mark.parametrize("kind, params, reads", [
+        ("circle", {"bogus": 1}, "none"),
+        ("rectangle", {"aspct": 10}, "['aspect']"),
+        ("ellipse", {"a": 2.0, "c": 1.0}, "['a', 'b']"),
+        ("random_closed", {"n": 8, "seed": 1, "m": 5}, "['n', 'seed']"),
+    ])
+    def test_unknown_params_rejected(self, kind, params, reads):
+        with pytest.raises(BadSpec, match=r"reads " + re.escape(reads)):
+            generate(CurveSpec(kind, params))
