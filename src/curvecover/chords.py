@@ -58,9 +58,9 @@ def _affine_at(curve: ClosedCurve, s: float, mids: np.ndarray):
     j = np.clip(np.searchsorted(u, np.where(wrap, w - 1.0, w), side="right") - 1,
                 0, curve.n - 1)
     s_eff = np.where(wrap, s - 1.0, s)
-    ei, ej = curve._tangents[i], curve._tangents[j]
-    a = (curve.vertices[j] - curve.vertices[i]
-         + (s_eff - u[j])[..., None] * ej + u[i][..., None] * ei)
+    ei, ej = np.take(curve._tangents, i, axis=0), np.take(curve._tangents, j, axis=0)
+    a = (np.take(curve.vertices, j, axis=0) - np.take(curve.vertices, i, axis=0)
+         + (s_eff - np.take(u, j))[..., None] * ej + np.take(u, i)[..., None] * ei)
     b = ej - ei
     return a, b
 

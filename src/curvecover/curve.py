@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import DegenerateCurve, DimensionMismatch, OutOfRange
 
-# Consecutive vertices closer than this are merged during construction.
+# Consecutive vertices closer than this times the bounding-box diagonal are
+# merged during construction.
 MERGE_TOL = 1e-12
 
 
@@ -57,7 +58,8 @@ class ClosedCurve:
 
 
 def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
-    """Drop each vertex closer than MERGE_TOL to the last vertex kept.
+    """Drop each vertex closer than MERGE_TOL times the bounding-box diagonal
+    to the last vertex kept.
 
     The comparison is sequential: after a vertex is dropped, the next one
     is compared with the last vertex kept, not with its predecessor.  A
@@ -66,9 +68,12 @@ def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
     edge, and only those are walked in Python.  Short edges are found
     with a relative margin and each walked vertex is decided by the same
     scalar norm throughout, so the result does not depend on how the
-    batched sum rounds.
+    batched sum rounds.  Edges are divided by the diagonal first, so no
+    square overflows at any scale, and one that underflows is only walked.
     """
-    edges = np.diff(pts, axis=0)
+    diag = np.hypot.reduce([np.ptp(c) for c in pts.T])  # columns: faster than axis=0
+    tol = MERGE_TOL * diag
+    edges = np.diff(pts, axis=0) / (diag or 1.0)
     near = np.einsum("ij,ij->i", edges, edges) < (MERGE_TOL * (1.0 + 1e-9)) ** 2
     keep = np.ones(len(pts), dtype=bool)
     walked = 0  # vertices up to here are decided
@@ -76,13 +81,13 @@ def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
         if i <= walked:
             continue
         last = i - 1
-        while i < len(pts) and np.linalg.norm(pts[i] - pts[last]) < MERGE_TOL:
+        while i < len(pts) and np.linalg.norm(pts[i] - pts[last]) < tol:
             keep[i] = False
             i += 1
         walked = i
     # drop a repeated first vertex at the end (explicitly closed input)
     last = int(np.flatnonzero(keep)[-1])
-    if last > 0 and np.linalg.norm(pts[last] - pts[0]) < MERGE_TOL:
+    if last > 0 and np.linalg.norm(pts[last] - pts[0]) < tol:
         keep[last] = False
     return pts if keep.all() else pts[keep]
 
@@ -111,9 +116,11 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     """Build a closed curve from an (n, d) array-like of vertices.
 
     The closing edge is implicit; a repeated first vertex at the end is
-    dropped, as are exact or near (< 1e-12) duplicate consecutive
-    vertices.  With ``normalize`` the coordinates are scaled by 1/L so
-    the result has unit length.  The input is copied.
+    dropped, as are exact or near duplicate consecutive vertices: closer
+    than 1e-12 times the diagonal of the vertices' bounding box, so the
+    result does not depend on the units.  With ``normalize`` the
+    coordinates are scaled by 1/L so the result has unit length.  The
+    input is copied.
 
     Raises
     ------

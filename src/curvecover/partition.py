@@ -23,7 +23,7 @@ from . import bounds
 from .chords import (_affine_at, _quadratic, _require_unit, golden_section,
                      min_chord_start)
 from .curve import Arc, ClosedCurve, chord_length
-from .errors import KTooSmall, NotAPartition
+from .errors import KTooSmall, NotAPartition, OutOfRange
 
 PARTITION_TOL = 1e-9
 
@@ -69,38 +69,53 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     Requires a unit-length curve.  Shifts where an arc endpoint crosses
     a vertex cut [0, 1/k) into cells; on a cell each arc's chord is the
     norm of an affine function of the shift, so the objective is convex
-    there.  One batched golden-section search refines every cell to
-    1e-12, and the best cell start or refined point wins.  Returns
-    (shift_star, cover).
+    there.  Cells whose bound (each arc's minimum, reduced by the objective)
+    exceeds the best cell start are dropped; a batched golden-section search
+    refines the rest and the widest cell, which sets its step count, to 1e-12.
+    The best cell start or refined point wins.  Returns (shift_star, cover).
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
     if objective not in ("max", "avg"):
-        raise ValueError(f"objective must be 'max' or 'avg', got {objective!r}")
+        raise OutOfRange(f"objective must be 'max' or 'avg', got {objective!r}")
     _require_unit(curve)
     if k == 1:
         return 0.0, uniform_partition(curve, 1, 0.0)
     period = 1.0 / k
     brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
                                     [0.0, period])))
-    lo = brk[:-1]
+    lo, hi = brk[:-1], brk[1:]
     # one row of cells per arc, shifted by j/k
     shifted = brk[None, :] + (np.arange(k) / k)[:, None]
     a, b = _affine_at(curve, period, 0.5 * (shifted[:, :-1] + shifted[:, 1:]))
     v0 = a + b * shifted[:, :-1, None]  # chord vector at each cell's start
     qa, qb, qc = _quadratic(v0, b)
+    del a, b, v0
+    vertex = np.clip(np.divide(-qb, qa, out=np.zeros_like(qa), where=qa > 0.0),
+                     0.0, hi - lo)
     qb *= 2.0  # ||v0 + b tau||^2 = qa tau^2 + qb tau + qc, tau = sigma - lo
 
-    def cost(sigma):
-        tau = sigma - lo
-        sq = (qa * tau + qb) * tau + qc
+    def reduce(sq):
         if objective == "max":
             return sq.max(axis=0)
         return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
 
-    x, y = golden_section(cost, lo, brk[1:], tol=1e-12)
-    cand = np.concatenate((lo, x))
-    i = int(np.argmin(np.concatenate((cost(lo), y))))
+    def cost(sigma):
+        tau = sigma - lo
+        return reduce((qa * tau + qb) * tau + qc)
+
+    start = reduce(qc)  # cost(brk[:-1]), as tau = 0
+    # Each arc's minimum less 2e-13 (qa/k^2 + qc), 450 ulp of its terms at tau <=
+    # 1/k (Cauchy-Schwarz), bounds the rounding here and at the search's points (a
+    # few ulp past the cell end), under the square root; max and sums are monotone.
+    low = (qa * vertex + qb) * vertex + qc - 2e-13 * (qa * period**2 + qc)
+    keep = reduce(low) <= start.min()
+    keep[np.argmax(hi - lo)] = True  # the widest cell sets golden_section's steps
+    if not keep.all():  # np.compress keeps rows C-contiguous: fast, same sum order
+        qa, qb, qc, lo, hi = (np.compress(keep, q, -1) for q in (qa, qb, qc, lo, hi))
+    x, y = golden_section(cost, lo, hi, tol=1e-12)
+    cand = np.concatenate((brk[:-1], x))
+    i = int(np.argmin(np.concatenate((start, y))))
     return float(cand[i]), uniform_partition(curve, k, float(cand[i]))
 
 

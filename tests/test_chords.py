@@ -145,13 +145,13 @@ def polylines(draw):
 # anchored at t = 0, cancel to O(s) and keep an absolute error near 1e-14.
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=polylines(), s=st.floats(0.0, 0.5, exclude_min=True),
-       shift=st.integers(1, 63))
-def test_chord_kernel_properties(case, s, shift):
+       shift=st.integers(1, 63), scale=st.sampled_from([1e-9, 1e-3, 7.0, 1e6]))
+def test_chord_kernel_properties(case, s, shift, scale):
     pts, rot, move = case
     try:
         curve, *others = [build_curve(p, normalize=True) for p in (
             pts, pts[::-1], np.roll(pts, shift % len(pts), axis=0),
-            pts @ rot.T + move)]
+            pts @ rot.T + move, pts * scale)]
     except DegenerateCurve:
         assume(False)
     avg = average_chord(curve, s)

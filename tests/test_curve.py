@@ -23,6 +23,14 @@ class TestBuildCurve:
         c = build_curve([(0, 0), (1, 0), (0, 1)])
         assert c.length == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    def test_merge_tolerance_is_relative(self, scale):
+        c = build_curve(np.array([(0, 0), (1, 0), (0, 1)]) * scale)
+        assert c.n == 3
+        assert c.length == pytest.approx((2.0 + math.sqrt(2.0)) * scale, rel=1e-15)
+        near = build_curve(np.array([(0, 0), (1, 0), (1, 1e-13), (0, 1)]) * scale)
+        assert near.n == 3
+
     def test_duplicate_vertex_dropped(self):
         c = build_curve([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
         assert c.n == 4
@@ -78,11 +86,12 @@ def _sequential_build(vertices, normalize):
     one vertex at a time, then the arc-length arithmetic.  None if
     degenerate."""
     pts = np.asarray(vertices, dtype=float)
+    tol = MERGE_TOL * np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0))
     keep = [0]
     for i in range(1, len(pts)):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) >= MERGE_TOL:
+        if np.linalg.norm(pts[i] - pts[keep[-1]]) >= tol:
             keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) < MERGE_TOL:
+    if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) < tol:
         keep.pop()
     arr = pts[keep]
     if arr.shape[0] < 3:
@@ -99,34 +108,33 @@ def _sequential_build(vertices, normalize):
     return arr, cum, cum / total
 
 
-STEPS = [f * MERGE_TOL for f in (0.3, 0.6, 1.0, 2.0)]
-
-
 @st.composite
 def polylines_with_near_duplicates(draw):
-    """Random polyline with clusters of sub- and near-MERGE_TOL steps after
-    some vertices (random signs give zig-zags) and an optional closing
-    vertex at or near the first."""
+    """Random polyline with clusters of steps of 0.3 to 2 merge tolerances
+    (MERGE_TOL times the diagonal of the base vertices) after some vertices
+    (random signs give zig-zags) and an optional closing vertex at or near
+    the first, all scaled by 1 or 1e-13."""
     d = draw(st.integers(2, 4))
     n = draw(st.integers(1, 10))
-    scale = draw(st.sampled_from([1e-9, 1.0, 1e3]))
     coord = st.floats(-1.0, 1.0, allow_subnormal=False)
-    base = scale * np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
-                                          min_size=n, max_size=n)))
+    base = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+    tol = MERGE_TOL * np.hypot.reduce(base.max(axis=0) - base.min(axis=0))
+    steps = [f * tol for f in (0.3, 0.6, 1.0, 2.0)]
     out = []
     for p in base:
         out.append(p)
         for _ in range(draw(st.integers(0, 4))):
             q = out[-1].copy()
             q[draw(st.integers(0, d - 1))] += (draw(st.sampled_from([1.0, -1.0]))
-                                               * draw(st.sampled_from(STEPS)))
+                                               * draw(st.sampled_from(steps)))
             out.append(q)
-    closing = draw(st.sampled_from([None, 0.0] + STEPS))
+    closing = draw(st.sampled_from([None, 0.0] + steps))
     if closing is not None:
         q = base[0].copy()
         q[-1] += closing
         out.append(q)
-    return np.array(out)
+    return np.array(out) * draw(st.sampled_from([1.0, 1e-13]))
 
 
 @settings(max_examples=200, deadline=None)

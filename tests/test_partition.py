@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift,
+from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift, build_curve,
                         chord_length, cover_metrics, cover_report,
-                        gamma_upper_refined, optimized_partition, solve_sk,
-                        theorem2_partition, uniform_partition)
-from curvecover.errors import KTooSmall, NotAPartition, NotNormalized
+                        gamma_upper_refined, golden_section, optimized_partition,
+                        solve_sk, theorem2_partition, uniform_partition)
+from curvecover.chords import _affine_at, _quadratic
+from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
+                               NotNormalized, OutOfRange)
 
 
 class TestUniformPartition:
@@ -65,7 +69,7 @@ class TestBestUniformShift:
         assert cover_metrics(circle, cover).gamma == pytest.approx(1.0)
 
     def test_bad_objective(self, circle):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             best_uniform_shift(circle, 3, "median")
 
     def test_needs_unit_length(self):
@@ -74,10 +78,13 @@ class TestBestUniformShift:
         with pytest.raises(NotNormalized):
             best_uniform_shift(c, 3)
 
-    @pytest.mark.parametrize("objective", ["max", "avg"])
-    def test_oracle_random4k(self, random4k, objective):
-        k = 13
-        shifts = np.arange(100_000) / (100_000 * k)
+    @pytest.mark.parametrize("objective, k", [("max", 13), ("avg", 13), ("max", 50),
+                                              ("avg", 50)],
+                             ids=["max", "avg", "max-k50", "avg-k50"])
+    def test_oracle_random4k(self, random4k, objective, k):
+        # shifts 1/1.3e6 apart at every k: 100,000 of them at k = 13
+        grid = 1_300_000 // k
+        shifts = np.arange(grid) / (grid * k)
         starts = np.mod(shifts[:, None] + np.arange(k)[None, :] / k, 1.0)
         chords = np.asarray(chord_length(random4k, starts.ravel(), 1.0 / k))
         lengths = 1.0 / k + chords.reshape(starts.shape)
@@ -86,6 +93,84 @@ class TestBestUniformShift:
         shift, cover = best_uniform_shift(random4k, k, objective)
         assert 0.0 <= shift < 1.0 / k
         assert float(reduce(cover.piece_lengths)) <= brute + 1e-12
+
+
+def _full_search_shift(curve, k, objective):
+    """Reference: the shift search that refines every cell, before pruning."""
+    period = 1.0 / k
+    brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
+                                    [0.0, period])))
+    lo = brk[:-1]
+    shifted = brk[None, :] + (np.arange(k) / k)[:, None]
+    a, b = _affine_at(curve, period, 0.5 * (shifted[:, :-1] + shifted[:, 1:]))
+    v0 = a + b * shifted[:, :-1, None]
+    qa, qb, qc = _quadratic(v0, b)
+    qb *= 2.0
+
+    def cost(sigma):
+        tau = sigma - lo
+        sq = (qa * tau + qb) * tau + qc
+        if objective == "max":
+            return sq.max(axis=0)
+        return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
+
+    x, y = golden_section(cost, lo, brk[1:], tol=1e-12)
+    cand = np.concatenate((lo, x))
+    return float(cand[int(np.argmin(np.concatenate((cost(lo), y))))])
+
+
+def _assert_pruned_matches_full(curve, k, objective):
+    shift, cover = best_uniform_shift(curve, k, objective)
+    ref = _full_search_shift(curve, k, objective)
+    assert shift == ref, (k, objective)
+    want = uniform_partition(curve, k, ref).piece_lengths
+    assert cover.piece_lengths.tobytes() == want.tobytes(), (k, objective)
+
+
+@pytest.mark.parametrize("objective", ["max", "avg"])
+def test_pruned_search_matches_full(corpus, random4k, objective):
+    for curve in [*corpus.values(), random4k]:
+        for k in (2, 3, 5, 13, 50):
+            _assert_pruned_matches_full(curve, k, objective)
+
+
+@st.composite
+def random_polylines(draw):
+    """A closed polyline with 4 to 64 vertices in R^2 .. R^5, usually
+    self-intersecting, as a unit-length curve."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(4, 64))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    pts = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                        min_size=n, max_size=n))
+    try:
+        return build_curve(pts, normalize=True)
+    except DegenerateCurve:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve=random_polylines(), k=st.integers(2, 50),
+       objective=st.sampled_from(["max", "avg"]))
+def test_pruned_search_matches_full_random(curve, k, objective):
+    _assert_pruned_matches_full(curve, k, objective)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve=random_polylines(), k=st.integers(3, 12),
+       shift=st.floats(0.0, 1.0, exclude_max=True))
+def test_every_construction_meets_its_bound(curve, k, shift):
+    # cover_metrics raises NotAPartition unless the arcs tile the curve
+    uniform = cover_metrics(curve, uniform_partition(curve, k, shift / k))
+    best_max = cover_metrics(curve, best_uniform_shift(curve, k, "max")[1])
+    best_avg = cover_metrics(curve, best_uniform_shift(curve, k, "avg")[1])
+    theorem2 = cover_metrics(curve, theorem2_partition(curve, k))
+    optimized = cover_metrics(curve, optimized_partition(curve, k))
+    assert uniform.gamma <= 2.0 / k + 1e-12
+    assert best_max.gamma <= uniform.gamma + 1e-12
+    assert best_avg.beta <= min(uniform.beta, beta_extremal(k)) + 1e-12
+    assert theorem2.gamma <= gamma_upper_refined(k) + 1e-12
+    assert optimized.gamma <= solve_sk(k)[1] + 1e-12
 
 
 class TestTheorem2Partition:
