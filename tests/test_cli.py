@@ -94,13 +94,13 @@ class TestLoadOnce:
         assert main(["gen", "--kind", "ellipse", "--resolution", "512",
                      "--no-normalize", "--out", str(path)]) == 0
         reads = []
-        read_text = Path.read_text
+        read_bytes = Path.read_bytes
 
         def counting(self, *args, **kwargs):
             reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return read_bytes(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(Path, "read_bytes", counting)
         assert main(["partition", str(path), "--k", "5", "--mode", "optimized",
                      "--render", "json"]) == 0
         assert reads == [path]
@@ -306,6 +306,22 @@ class TestReportPath:
         err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot write {argv[-1]}: ")
+
+    @pytest.mark.parametrize("content, message", [
+        (b'[[0,0],[1,0],["1",true],[0,1]]', "coordinates must be JSON numbers"),
+        (b"[[0,0],[1,0],[" + b"9" * 400 + b",1],[0,1]]", "int too large"),
+        (b'[[0,0],[1,0],[1,1],[0,1]], "note": "\xff"', "can't decode byte 0xff"),
+    ], ids=["string-and-bool", "400-digit-int", "invalid-utf8"])
+    def test_bad_curve_file(self, content, message, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"dim": 2, "vertices": ' + content + b"}")
+        assert main(["partition", str(path), "--k", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot parse curve file {path}: ")
+        assert message in err[0]
 
     @pytest.mark.parametrize("params, message", [
         (["--kind", "circle", "--params", "bogus=1"], "does not read params"),

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvecover import CurveSpec, generate, load_curve, save_curve
+from curvecover.curveio import _json_vertices
 from curvecover.errors import DegenerateCurve, FileError
 
 
@@ -57,3 +62,159 @@ def test_nan_vertex_rejected(tmp_path):
     path.write_text('{"dim": 2, "vertices": [[0,0],[1,0],[NaN,1],[0,1]]}')
     with pytest.raises(DegenerateCurve, match="non-finite"):
         load_curve(path)
+
+
+def _write(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, str):
+        content = content.encode()
+    path.write_bytes(content)
+    return path
+
+
+@pytest.mark.parametrize("value", ['"1"', "true", "false", "null"])
+def test_non_number_coordinate_rejected(tmp_path, value):
+    # np.asarray(..., dtype=float) would read "1" and true as 1.0
+    path = _write(tmp_path, "c.json",
+                  '{"dim": 2, "vertices": [[0,0],[1,0],[%s,1],[0,1]]}' % value)
+    with pytest.raises(FileError, match="coordinates must be JSON numbers"):
+        load_curve(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"dim": 2, "vertices": [[0,0],[1,0],[%s,1],[0,1]]}' % ("9" * 400),
+     "int too large"),
+    (b'{"dim": 2, "note": "\xff", "vertices": [[0,0],[1,0],[0,1]]}', "utf-8"),
+    (b"# dim=2\n0,0\n1,\xfe0\n0,1\n", "utf-8"),
+])
+def test_unparsable_number_or_bytes(tmp_path, content, message):
+    path = _write(tmp_path, "curve", content)
+    with pytest.raises(FileError, match=message):
+        load_curve(path)
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("c.json", '{"dim": 2.7, "vertices": [[0,0],[1,0],[0,1]]}', "integer >= 2"),
+    ("c.json", '{"dim": "2", "vertices": [[0,0],[1,0],[0,1]]}', "integer >= 2"),
+    ("c.json", '{"dim": true, "vertices": [[0,0],[1,0],[0,1]]}', "integer >= 2"),
+    ("c.json", '{"dim": 1, "vertices": [[0],[1],[2]]}', "integer >= 2"),
+    ("c.json", '{"vertices": [[0,0],[1,0],[0,1]]}', "'dim'"),
+    ("c.json", '{"dim": 2, "vertices": [[0,0],[1,0,0],[0,1]]}', "rows of 2"),
+    ("c.csv", "# dim=3\n0,0\n1,0\n0,1\n", "2 entries but 'dim' is 3"),
+    ("c.csv", "# dim=2.5\n0,0\n1,0\n0,1\n", "2.5"),
+    ("c.csv", "# dim=1\n0\n1\n2\n", "integer >= 2"),
+])
+def test_dim_checked(tmp_path, name, content, message):
+    path = _write(tmp_path, name, content)
+    with pytest.raises(FileError, match=message):
+        load_curve(path)
+
+
+def test_csv_without_header(tmp_path):
+    path = _write(tmp_path, "c.csv", "# a comment\n0,0,0\n1,0,0\n0,1,0\n")
+    assert load_curve(path).dim == 3
+
+
+@pytest.mark.parametrize("bad", [
+    '{"dim": 2, "vertices": [[0,0],[1 0,0],[0,1]], "x": []}',
+    '{"dim": 2, "vertices": [[0,0],[1,0],[0,1]], "x": [1,}',
+    '{"dim": 2, "x": [1,], "vertices": [[0,0],[1,0],[0,1]]}',
+])
+def test_json_error_positions_are_the_files(tmp_path, bad):
+    # the two parses see shifted text; errors must point into the file
+    with pytest.raises(FileError) as exc:
+        load_curve(_write(tmp_path, "c.json", bad))
+    with pytest.raises(json.JSONDecodeError) as ref:
+        json.loads(bad)
+    assert str(exc.value).endswith(str(ref.value))
+
+
+def _reference_vertices(text):
+    """Reference: the nested lists of ``json.loads``, then ``np.asarray``."""
+    doc = json.loads(text)
+    verts = np.asarray(doc["vertices"], dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != int(doc["dim"]):
+        raise ValueError("vertex dimensions disagree with 'dim'")
+    return verts
+
+
+def _layouts(vertices, dim, normalized):
+    doc = {"dim": dim, "length_normalized": normalized, "vertices": vertices}
+    first = {"vertices": vertices, "dim": dim, "length_normalized": normalized}
+    return {
+        "default": json.dumps(doc),
+        "indent": json.dumps(doc, indent=2),
+        "compact": json.dumps(doc, separators=(",", ":")),
+        "vertices_first": json.dumps(first),
+        "extra_after": json.dumps(dict(doc, extra=[[1, 2], [3], []])),
+    }
+
+
+DIFF_SPECS = (
+    [CurveSpec(kind, resolution=n, normalize=norm)
+     # three points of the Lissajous curve coincide
+     for kind, n0 in (("circle", 3), ("ellipse", 3), ("lissajous3d", 4))
+     for n in (n0, 64, 4096) for norm in (False, True)]
+    + [CurveSpec("circle", resolution=65536, normalize=norm)
+       for norm in (False, True)]
+    + [CurveSpec("random_closed", {"n": n, "seed": d}, dim=d, normalize=norm)
+       for d in range(2, 7) for n, norm in ((4, False), (4096, True))])
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS, ids=lambda s: (
+    f"{s.kind}{s.dim or ''}-{s.params.get('n', s.resolution)}"
+    f"-{'norm' if s.normalize else 'raw'}"))
+def test_flat_parse_matches_nested(spec, tmp_path):
+    curve = generate(spec)
+    path = tmp_path / "c.json"
+    save_curve(curve, path)
+    texts = _layouts(curve.vertices.tolist(), curve.dim, curve.is_unit_length)
+    texts["save_curve"] = path.read_text()
+    for layout, text in texts.items():
+        got, want = _json_vertices(text), _reference_vertices(text)
+        assert got.shape == want.shape, layout
+        assert got.tobytes() == want.tobytes(), layout
+    assert load_curve(path).vertices.tobytes() == curve.vertices.tobytes()
+
+
+# short numbers, ints, exponents and signs, so one-byte edits often stay valid
+SMALL = _layouts([[0, 0, 1.5], [1.0, -2, 0.25], [3e-2, 1, -0.5], [2, 2.5, 0]],
+                 3, False)
+
+
+def _outcome(parse, text):
+    try:
+        verts = parse(text)
+    except (KeyError, ValueError, TypeError):
+        return None
+    return verts.shape, verts.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(layout=st.sampled_from(sorted(SMALL)), data=st.data())
+def test_one_byte_edit_agrees_with_nested(layout, data):
+    text = SMALL[layout]
+    pos = data.draw(st.integers(0, len(text) - 1))
+    insert = data.draw(st.sampled_from(list("[],0123456789 ") + [None]))
+    text = text[:pos] + (insert or "") + text[pos + (insert is None):]
+    assume(text.lstrip().startswith("{"))
+    assert _outcome(_json_vertices, text) == _outcome(_reference_vertices, text)
+
+
+@pytest.mark.parametrize("vertices", [
+    '[[0,0],[1,]5,[0,1]]',  # a number between rows fills an empty entry
+    '[5[,0],[1,0],[0,1]]',
+    '[[0,0],5[,0],[0,1]]',
+    '[[0,0],[1,0],[0,]1]',
+    '[[0,0],[1,0],[0,1]], "vertices": [[9,9],[8,8],[7,7]]',  # the last wins
+    '[[0,0],[1,0],[0,1]], "meta": {"vertices": [[9,9],[8,8],[7,7]]}',
+    r'[[0,0],[1,0],[0,1]], "a\"vertices": [[9,9],[8,8],[7,7]]',
+    r'[[0,0],[1,0],[0,1]], "note": "]] \"vertices\": [[9,9]]"',
+    '[[[0,0]],[1,0],[0,1]]',
+    '[[0,0],[1,0],[0,1]]]',
+])
+def test_hand_cases_agree_with_nested(vertices):
+    meta = '"meta": {"vertices": [[5,5],[6,6],[7,7]]}, '
+    for text in ('{"dim": 2, "vertices": %s}' % vertices,
+                 '{%s"dim": 2, "vertices": %s}' % (meta, vertices)):
+        assert _outcome(_json_vertices, text) == _outcome(_reference_vertices, text)
