@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="print the bounds table")
     sp.add_argument("--kmax", type=int, required=True)
     _report_flags(sp)
-    sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("gen", help="generate a corpus curve file")
     sp.add_argument("--kind", choices=generators.KINDS, required=True)
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-normalize", action="store_true")
     sp.add_argument("--out", required=True,
                     help="curve file to write (json or csv by extension)")
-    sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("partition", help="cover a curve file with k pieces")
     sp.add_argument("curve", help="curve file (json or csv)")
@@ -213,27 +211,34 @@ def build_parser() -> argparse.ArgumentParser:
                     default="uniform")
     sp.add_argument("--shift", type=float, default=None)
     _report_flags(sp, tol=1e-6)
-    sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("sweep", help="uniform-cover metrics over a shift grid")
     sp.add_argument("curve")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, default=1024)
     _report_flags(sp, tol=1e-6)
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="check the average-chord inequality")
     sp.add_argument("curve")
     sp.add_argument("--s", type=float, nargs="+", required=True)
     _report_flags(sp, tol=1e-9)
-    sp.set_defaults(func=cmd_verify)
     return p
 
 
+_parser = None  # built by the first main() call, reused by later ones
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        report = args.func(args)
+        tol = getattr(args, "tol", 0.0)
+        if not math.isfinite(tol):
+            raise BadFlag(f"--tol must be finite, got {tol!r}")
+        # looked up per call, so a handler rebound after the first call runs
+        report = globals()["cmd_" + args.command](args)
         if report is None:  # gen wrote its curve file
             return 0
         views, fails = report

@@ -4,7 +4,7 @@ JSON format: {"dim": d, "length_normalized": bool, "vertices": [[...], ...]}
 with vertices in traversal order, the closing edge implicit and every
 coordinate a JSON number; any JSON layout is read.
 CSV alternative: an optional "# dim=d" header line, then one comma-separated
-vertex per line.
+vertex per line, each field a JSON number.
 """
 
 import json
@@ -23,6 +23,13 @@ _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
 # vertex array must leave exactly its brackets and commas.
 _NUMBER_CHARS = b"0123456789+-.eEINafinty"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# A CSV vertex row: JSON numbers ([0-9], not the Unicode digits of \d),
+# each padded by spaces or tabs, separated by commas; a "# dim=" value is
+# a JSON integer.
+_CSV_INT = r"[ \t]*-?(?:0|[1-9][0-9]*)"
+_CSV_FIELD = _CSV_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[ \t]*"
+_CSV_ROW = re.compile(rf"{_CSV_FIELD}(?:,{_CSV_FIELD})*")
+_CSV_DIM = re.compile(_CSV_INT + r"[ \t]*")
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -130,8 +137,12 @@ def _csv_vertices(text: str) -> np.ndarray:
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             if key.strip() == "dim":
+                if not _CSV_DIM.fullmatch(value):
+                    raise ValueError(f"'dim' must be an integer >= 2, got {value.strip()!r}")
                 dim = int(value)
         elif line:
+            if not _CSV_ROW.fullmatch(line):
+                raise ValueError(f"CSV vertex fields must be JSON numbers, got {line!r}")
             rows.append([float(x) for x in line.split(",")])
     verts = np.asarray(rows)
     if dim is not None and verts.ndim == 2:

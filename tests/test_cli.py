@@ -7,6 +7,7 @@ import pytest
 from curvecover import (bounds, chords, cover_metrics, cover_report, load_curve,
                         optimized_partition, save_curve, solve_sk,
                         uniform_partition)
+from curvecover import cli
 from curvecover.cli import main
 
 
@@ -334,6 +335,56 @@ class TestReportPath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not out.exists()
+
+
+class TestOneParser:
+    def test_flags_do_not_leak_between_calls(self, circle_file, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_partition", lambda args: seen.append(args))
+        main(["partition", circle_file, "--k", "4", "--shift", "0.1",
+              "--tol", "1e-3"])
+        main(["partition", circle_file, "--k", "4"])
+        assert (seen[0].shift, seen[0].tol) == (0.1, 1e-3)
+        assert (seen[1].shift, seen[1].tol) == (None, 1e-6)
+        assert vars(seen[1]) == vars(cli.build_parser().parse_args(
+            ["partition", circle_file, "--k", "4"]))
+
+    def test_bad_argv_then_good_call(self, capsys):
+        assert main(["bounds", "--kmax", "4"]) == 0
+        first = capsys.readouterr().out
+        for argv in (["bounds", "--kmax", "x"], ["bounds"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["bounds", "--kmax", "4"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_handler_rebound_after_first_call(self, monkeypatch, capsys):
+        assert main(["bounds", "--kmax", "2"]) == 0
+        monkeypatch.setattr(cli, "cmd_bounds",
+                            lambda args: ({"table": ["patched"]}, []))
+        assert main(["bounds", "--kmax", "2"]) == 0
+        assert capsys.readouterr().out.endswith("patched\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["partition", "{circle}", "--k", "4"],
+        ["sweep", "{circle}", "--k", "3", "--samples", "4"],
+        ["verify", "{circle}", "--s", "0.25"],
+    ], ids=["partition", "sweep", "verify"])
+    def test_non_finite_tol_rejected(self, argv, tol, circle_file, capsys):
+        # nan failed every verdict with a negative excess; inf passed any cover
+        argv = [a.format(circle=circle_file) for a in argv]
+        assert main(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --tol must be finite, got {tol}"]
+
+    def test_negative_tol_demands_a_margin(self, circle_file):
+        # gamma is 0.475 against the bound 0.5
+        assert main(["partition", circle_file, "--k", "4", "--tol=-0.02"]) == 0
+        assert main(["partition", circle_file, "--k", "4", "--tol=-0.03"]) == 1
 
 
 class TestDeterminism:

@@ -103,6 +103,8 @@ def test_unparsable_number_or_bytes(tmp_path, content, message):
     ("c.csv", "# dim=3\n0,0\n1,0\n0,1\n", "2 entries but 'dim' is 3"),
     ("c.csv", "# dim=2.5\n0,0\n1,0\n0,1\n", "2.5"),
     ("c.csv", "# dim=1\n0\n1\n2\n", "integer >= 2"),
+    ("c.csv", "# dim=0_2\n0,0\n1,0\n0,1\n", "'0_2'"),  # int() reads 2
+    ("c.csv", "# dim=+2\n0,0\n1,0\n0,1\n", "'\\+2'"),
 ])
 def test_dim_checked(tmp_path, name, content, message):
     path = _write(tmp_path, name, content)
@@ -113,6 +115,20 @@ def test_dim_checked(tmp_path, name, content, message):
 def test_csv_without_header(tmp_path):
     path = _write(tmp_path, "c.csv", "# a comment\n0,0,0\n1,0,0\n0,1,0\n")
     assert load_curve(path).dim == 3
+
+
+@pytest.mark.parametrize("field", ["1_0", "infinity", "nan", "+.5", "1.", ".5",
+                                   "01", "\u0661", "0x1", "1 0", ""])
+def test_csv_fields_are_json_numbers(tmp_path, field):
+    # float() reads all but the last three of these (1_0 as 10.0)
+    path = _write(tmp_path, "c.csv", f"0,0\n1,0\n{field},1\n0,1\n")
+    with pytest.raises(FileError, match="must be JSON numbers"):
+        load_curve(path)
+
+
+def test_csv_fields_may_be_padded(tmp_path):
+    path = _write(tmp_path, "c.csv", "0 ,\t0\n 1e0,-0\n1.0E+0 , 1\n0,1.0\n")
+    assert load_curve(path).vertices.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
 @pytest.mark.parametrize("bad", [
