@@ -37,25 +37,17 @@ def gamma_upper_refined(k: int) -> float:
     return 2.0 / k - 1.0 / (4.0 * k**4)
 
 
-_sk_memo = {}  # (k - 1, tol) -> (s_k, bound), filled by solve_sk
-
-
 def solve_sk(k: int, tol: float = 1e-14):
     """Root s_k in (0, 1/2) of s + sin(pi s)/pi = 2(1-s)/(k-1), by bisection.
 
     The left side is increasing and the right side decreasing in s, so
     the root is unique.  Returns (s_k, bound) with
-    bound = 2(1-s_k)/(k-1), as Python floats; each (k, tol) is solved
-    once per process.
+    bound = 2(1-s_k)/(k-1).
     """
     if k < 3:
         raise KTooSmall("k must be >= 3")
     if not 0.0 < tol < math.inf:
         raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
-    key = (float(k - 1), tol)  # the solve reads k only as the float k - 1
-    hit = _sk_memo.get(key)
-    if hit is not None:
-        return hit
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
     a, b = 0.0, 0.5
     if not (f(a) < 0.0 < f(b)):
@@ -67,12 +59,7 @@ def solve_sk(k: int, tol: float = 1e-14):
         else:
             b = m
     s = 0.5 * (a + b)
-    # float(): a numpy k would give a numpy bound, then memoized
-    root = _sk_memo[key] = (s, float(2.0 * (1.0 - s) / (k - 1)))
-    return root
-
-
-_bkk_g = {1: 1.0, 2: 0.5 + 1.0 / math.pi}  # g(1..n), extended by bkk_table
+    return s, 2.0 * (1.0 - s) / (k - 1)
 
 
 def bkk_table(k_max: int) -> dict[int, float]:
@@ -80,14 +67,15 @@ def bkk_table(k_max: int) -> dict[int, float]:
 
     Base values g(1) = 1 and g(2) = 1/2 + 1/pi; for larger k, the best
     of g(a)g(b) over factorizations k = a*b and
-    (1 + 2/pi) g(a)g(b)/(g(a)+g(b)) over sums k = a+b.  Returns a new
-    dict of g(1..k_max); the values are computed once per process.
+    (1 + 2/pi) g(a)g(b)/(g(a)+g(b)) over sums k = a+b.
     """
     if k_max < 1:
         raise KTooSmall("k_max must be >= 1")
-    g = _bkk_g
+    g = {1: 1.0}
+    if k_max >= 2:
+        g[2] = 0.5 + 1.0 / math.pi
     c = 1.0 + 2.0 / math.pi
-    for k in range(len(g) + 1, k_max + 1):
+    for k in range(3, k_max + 1):
         best = math.inf
         for a in range(2, int(math.isqrt(k)) + 1):
             if k % a == 0:
@@ -96,7 +84,7 @@ def bkk_table(k_max: int) -> dict[int, float]:
             b = k - a
             best = min(best, c * g[a] * g[b] / (g[a] + g[b]))
         g[k] = best
-    return {k: g[k] for k in range(1, k_max + 1)}
+    return g
 
 
 def sin_taylor_upper(x: float) -> float:

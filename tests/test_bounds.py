@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from curvecover import (beta_extremal, bkk_table, gamma_upper_refined,
@@ -71,51 +70,6 @@ class TestSolveSk:
         with pytest.raises(OutOfRange, match=repr(tol)):
             solve_sk(5, tol)
 
-    @pytest.mark.parametrize("tol", [1e-14, 1e-10])
-    def test_memo_matches_bisection(self, tol):
-        for k in range(3, 401):
-            expect = _bisect_sk(k, tol)
-            assert solve_sk(k, tol) == expect  # first call or memo hit
-            assert solve_sk(k, tol) == expect  # memo hit
-
-    def test_numpy_k_returns_floats(self):
-        for k in (np.int64(7), 7, np.array(7), 7.0):
-            s, bound = solve_sk(k)
-            assert type(s) is float and type(bound) is float
-            assert (s, bound) == _bisect_sk(7, 1e-14)
-
-
-def _bisect_sk(k, tol):
-    """The bisection of solve_sk, run afresh on every call: the memo's reference."""
-    f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
-    a, b = 0.0, 0.5
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if f(m) < 0.0:
-            a = m
-        else:
-            b = m
-    s = 0.5 * (a + b)
-    return s, 2.0 * (1.0 - s) / (k - 1)
-
-
-def _bkk_loop(k_max):
-    """g(1..k_max) computed from g(1) on every call: the growing table's reference."""
-    g = {1: 1.0}
-    if k_max >= 2:
-        g[2] = 0.5 + 1.0 / math.pi
-    c = 1.0 + 2.0 / math.pi
-    for k in range(3, k_max + 1):
-        best = math.inf
-        for a in range(2, int(math.isqrt(k)) + 1):
-            if k % a == 0:
-                best = min(best, g[a] * g[k // a])
-        for a in range(1, k // 2 + 1):
-            b = k - a
-            best = min(best, c * g[a] * g[b] / (g[a] + g[b]))
-        g[k] = best
-    return g
-
 
 class TestBkkTable:
     def test_small_values(self):
@@ -138,14 +92,6 @@ class TestBkkTable:
     def test_monotone(self):
         g = bkk_table(20)
         assert all(g[k + 1] < g[k] + 1e-12 for k in range(2, 20))
-
-    def test_growing_table_matches_loop(self):
-        for k_max in (50, 10, 200, 3, 200, 1):
-            g = bkk_table(k_max)
-            assert list(g.items()) == list(_bkk_loop(k_max).items())
-            g[k_max] = -1.0  # the caller's copy, not the shared table
-            g.clear()
-        assert bkk_table(200) == _bkk_loop(200)
 
 
 class TestSinTaylor:
