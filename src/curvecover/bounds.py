@@ -10,7 +10,7 @@ patrolling idle-time floor.
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, KTooSmall, NoBracket, NonPositiveSpeed, OutOfRange
+from .errors import EmptyInput, KTooSmall, NonPositiveSpeed, OutOfRange
 
 
 def beta_extremal(k: int) -> float:
@@ -37,22 +37,18 @@ def gamma_upper_refined(k: int) -> float:
     return 2.0 / k - 1.0 / (4.0 * k**4)
 
 
-def solve_sk(k: int, tol: float = 1e-14):
+def solve_sk(k: int):
     """Root s_k in (0, 1/2) of s + sin(pi s)/pi = 2(1-s)/(k-1), by bisection.
 
-    The left side is increasing and the right side decreasing in s, so
-    the root is unique.  Returns (s_k, bound) with
-    bound = 2(1-s_k)/(k-1).
+    The left side minus the right is increasing, -2/(k-1) at s = 0 and at
+    least 1/pi at s = 1/2, so the root is unique; bisects to width 1e-14.
+    Returns (s_k, bound) with bound = 2(1-s_k)/(k-1).
     """
     if k < 3:
         raise KTooSmall("k must be >= 3")
-    if not 0.0 < tol < math.inf:
-        raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
     a, b = 0.0, 0.5
-    if not (f(a) < 0.0 < f(b)):
-        raise NoBracket(f"no sign change on [0, 1/2] for k={k}")
-    while b - a > tol:
+    while b - a > 1e-14:
         m = 0.5 * (a + b)
         if f(m) < 0.0:
             a = m
@@ -118,8 +114,6 @@ class BoundsRow:
 
 def table1(k_max: int) -> list[BoundsRow]:
     """Assemble the bounds table for k = 1..k_max."""
-    if k_max < 1:
-        raise KTooSmall("k_max must be >= 1")
     bkk = bkk_table(k_max)
     rows = []
     for k in range(1, k_max + 1):

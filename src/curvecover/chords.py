@@ -146,19 +146,19 @@ def average_chord(curve: ClosedCurve, s: float,
     return float(np.sum(vals.sum(axis=1) * (p1 - p0) / m))
 
 
-def golden_section(f, a, b, tol: float = 1e-10):
+def golden_section(f, a, b):
     """Minimize unimodal f on each bracket [a, b]; returns (x, f(x)).
 
     ``a`` and ``b`` are scalars or equal-shape arrays of brackets, and f
     maps one point per bracket to its value, so one call of f per step
     serves every bracket.  All brackets shrink together until the widest
-    is at most ``tol``; x is the better of the last two samples.
+    is at most 1e-12; x is the better of the last two samples.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(b, dtype=float) - a
     c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
     yc, yd = f(c), f(d)
-    while np.max(h, initial=0.0) > tol:
+    while np.max(h, initial=0.0) > 1e-12:
         h = h * _INV_PHI
         left = yc < yd  # keep [a, d]; else keep [c, b]
         a = np.where(left, a, c)

@@ -43,6 +43,18 @@ def _fmt3(x):
     return "--" if x is None else f"{x:.3f}"
 
 
+def _csv(records, columns, *trailer):
+    """CSV lines: the header, one row of ``columns`` per record (a dict),
+    each value as its repr or empty for None, then the (name, value) pairs
+    of ``trailer`` on one '# name=value ...' line."""
+    lines = [",".join(columns)]
+    lines += [",".join(["" if r[c] is None else repr(r[c]) for c in columns])
+              for r in records]
+    if trailer:
+        lines.append("# " + " ".join(f"{name}={v!r}" for name, v in trailer))
+    return lines
+
+
 # Each report command returns (views, fails): views maps every --render
 # mode to a JSON doc (dict) or to a list of lines; fails are the FAIL lines.
 
@@ -52,20 +64,9 @@ def cmd_bounds(args):
     rows = bnd.table1(args.kmax)
     rendered = dict(zip(("lower", "bkk_upper", "new_upper"),
                         bnd.rendered_rows(rows)))
-    doc = {
-        "command": "bounds",
-        "kmax": args.kmax,
-        "rows": [
-            {"k": r.k, "lower": r.lower, "bkk_upper": r.bkk_upper,
-             "new_upper": r.new_upper, "s_k": r.s_k}
-            for r in rows
-        ],
-        "rendered": rendered,
-    }
-    csv = ["k,lower,bkk_upper,new_upper,s_k"]
-    for r in rows:
-        sk = "" if r.s_k is None else repr(r.s_k)
-        csv.append(f"{r.k},{r.lower!r},{r.bkk_upper!r},{r.new_upper!r},{sk}")
+    doc = {"command": "bounds", "kmax": args.kmax,
+           "rows": [dict(vars(r)) for r in rows], "rendered": rendered}
+    csv = _csv(doc["rows"], ("k", "lower", "bkk_upper", "new_upper", "s_k"))
     table = ["k".ljust(16) + " ".join(f"{r.k:>6d}" for r in rows)]
     table += [name.ljust(16) + " ".join(f"{_fmt3(x):>6}" for x in values)
               for name, values in rendered.items()]
@@ -117,11 +118,9 @@ def cmd_partition(args):
     report = part.cover_report(curve, cover, bound, shift_or_s, tol=args.tol)
     report["command"] = "partition"
     report["notes"] = notes
-    csv = ["t_start,length_frac,piece_length"]
-    csv += [f"{p['t_start']!r},{p['length_frac']!r},{p['piece_length']!r}"
-            for p in report["pieces"]]
-    csv.append(f"# gamma={report['gamma']!r} bound={report['bound']!r} "
-               f"pass={report['bound_satisfied']}")
+    csv = _csv(report["pieces"], ("t_start", "length_frac", "piece_length"),
+               ("gamma", report["gamma"]), ("bound", report["bound"]),
+               ("pass", report["bound_satisfied"]))
     fails = [] if report["bound_satisfied"] else [
         f"FAIL: gamma {report['gamma']} exceeds certified bound {report['bound']}"]
     return {"json": report, "csv": csv, "table": report}, fails
@@ -140,17 +139,16 @@ def cmd_sweep(args):
     lengths = part._piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
     betas = lengths.sum(axis=1) / (k * curve.length)
     gammas = lengths.max(axis=1) / curve.length
-    rows = list(zip(shifts.tolist(), betas.tolist(), gammas.tolist()))
+    rows = [{"shift": a, "beta": b, "gamma": g} for a, b, g in
+            zip(shifts.tolist(), betas.tolist(), gammas.tolist())]
     mean_beta = math.fsum(betas.tolist()) / len(rows)
     bound = bnd.beta_extremal(k)
     ok = mean_beta <= bound + args.tol
-    doc = {"command": "sweep", "k": k, "samples": args.samples,
-           "rows": [{"shift": a, "beta": b, "gamma": g} for a, b, g in rows],
+    doc = {"command": "sweep", "k": k, "samples": args.samples, "rows": rows,
            "mean_beta": mean_beta, "beta_bound": bound,
            "mean_beta_within_bound": ok, "notes": notes}
-    csv = ["shift,beta,gamma"]
-    csv += [f"{a!r},{b!r},{g!r}" for a, b, g in rows]
-    csv.append(f"# mean_beta={mean_beta!r} bound={bound!r} pass={ok}")
+    csv = _csv(rows, ("shift", "beta", "gamma"), ("mean_beta", mean_beta),
+               ("bound", bound), ("pass", ok))
     fails = [] if ok else [f"FAIL: mean beta {mean_beta} exceeds bound {bound}"]
     return {"json": doc, "csv": csv, "table": csv}, fails
 
@@ -174,9 +172,7 @@ def cmd_verify(args):
                   f"{bound!r} by {v - bound:.3g}" for name, v, ok in checked if not ok]
         results.append(entry)
     doc = {"command": "verify", "results": results, "notes": notes}
-    csv = ["s,average_chord,bound,slack,pass"]
-    csv += [f"{r['s']!r},{r['average_chord']!r},{r['bound']!r},"
-            f"{r['slack']!r},{r['pass']}" for r in results]
+    csv = _csv(results, ("s", "average_chord", "bound", "slack", "pass"))
     return {"json": doc, "csv": csv, "table": doc}, fails
 
 
@@ -184,7 +180,8 @@ def _report_flags(sp, tol=None):
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     sp.add_argument("--render", choices=("table", "json", "csv"), default="table")
     if tol is not None:
-        sp.add_argument("--tol", type=float, default=tol, help="verdict slack")
+        sp.add_argument("--tol", type=float, default=tol,
+                        help="verdict slack; write a negative one as --tol=-1e-3")
 
 
 def build_parser() -> argparse.ArgumentParser:

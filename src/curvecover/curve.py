@@ -6,6 +6,7 @@ distance t*L from vertex 0, where L is the total length.  All query
 functions accept scalar or array parameters and are pure.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,14 @@ class ClosedCurve:
         return abs(self.length - 1.0) <= 1e-9
 
 
+def _unit(arr: np.ndarray):
+    """(arr / 2^e, e), 2^e the power of two above the largest |coordinate|:
+    exact where not subnormal, and no square of an edge length of it over- or
+    underflows, unless the edge is below about 1e-154 times that coordinate."""
+    e = math.frexp(max(arr.max(), -arr.min()))[1]
+    return np.ldexp(arr, -e), e
+
+
 def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
     """Drop each vertex closer than MERGE_TOL times the bounding-box diagonal
     to the last vertex kept.
@@ -68,12 +77,13 @@ def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
     edge, and only those are walked in Python.  Short edges are found
     with a relative margin and each walked vertex is decided by the same
     scalar norm throughout, so the result does not depend on how the
-    batched sum rounds.  Edges are divided by the diagonal first, so no
-    square overflows at any scale, and one that underflows is only walked.
+    batched sum rounds.  Lengths are measured on ``_unit(pts)``, and batched
+    edges also over the diagonal, so the short-edge test is scale-free.
     """
-    diag = np.hypot.reduce([np.ptp(c) for c in pts.T])  # columns: faster than axis=0
+    unit = _unit(pts)[0]
+    diag = np.hypot.reduce([np.ptp(c) for c in unit.T])  # columns: faster than axis=0
     tol = MERGE_TOL * diag
-    edges = np.diff(pts, axis=0) / (diag or 1.0)
+    edges = np.diff(unit, axis=0) / (diag or 1.0)
     near = np.einsum("ij,ij->i", edges, edges) < (MERGE_TOL * (1.0 + 1e-9)) ** 2
     keep = np.ones(len(pts), dtype=bool)
     walked = 0  # vertices up to here are decided
@@ -81,35 +91,36 @@ def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
         if i <= walked:
             continue
         last = i - 1
-        while i < len(pts) and np.linalg.norm(pts[i] - pts[last]) < tol:
+        while i < len(pts) and np.linalg.norm(unit[i] - unit[last]) < tol:
             keep[i] = False
             i += 1
         walked = i
     # drop a repeated first vertex at the end (explicitly closed input)
     last = int(np.flatnonzero(keep)[-1])
-    if last > 0 and np.linalg.norm(pts[last] - pts[0]) < tol:
+    if last > 0 and np.linalg.norm(unit[last] - unit[0]) < tol:
         keep[last] = False
     return pts if keep.all() else pts[keep]
 
 
 def _assemble(arr: np.ndarray, normalize: bool) -> ClosedCurve:
     """Curve on the merged, validated vertex array ``arr`` (kept, not copied)."""
-    edges = np.roll(arr, -1, axis=0) - arr
+    unit, e = _unit(arr)  # lengths are scaled back by 2^e, also exactly
+    edges = np.roll(unit, -1, axis=0) - unit
     seg = np.linalg.norm(edges, axis=1)
     total = float(seg.sum())
     if total <= 0.0:
         raise DegenerateCurve("zero total length")
-    if not np.isfinite(total):
-        raise DegenerateCurve(f"total length is not finite ({total})")
+    if math.frexp(total)[1] + e > 1024:  # total * 2^e, the length, overflows
+        raise DegenerateCurve("total length is not finite (inf)")
     if normalize:
-        arr = arr / total
+        arr = arr / math.ldexp(total, e)
         edges = edges / total
         seg = seg / total
-        total = float(seg.sum())
+        total, e = float(seg.sum()), 0
 
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    cum = np.ldexp(np.concatenate(([0.0], np.cumsum(seg))), e)
     tangents = edges / seg[:, None]
-    return ClosedCurve(arr, cum, total, tangents)
+    return ClosedCurve(arr, cum, math.ldexp(total, e), tangents)
 
 
 def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
@@ -147,12 +158,10 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         raise DimensionMismatch(f"dimension must be >= 2, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")
-    # a length that overflows is inf: never merged, and rejected as a total
-    with np.errstate(over="ignore"):
-        arr = _merge_duplicates(arr)
-        if arr.shape[0] < 3:
-            raise DegenerateCurve("need at least 3 distinct vertices")
-        return _assemble(arr, normalize)
+    arr = _merge_duplicates(arr)
+    if arr.shape[0] < 3:
+        raise DegenerateCurve("need at least 3 distinct vertices")
+    return _assemble(arr, normalize)
 
 
 @dataclass(frozen=True)

@@ -40,22 +40,19 @@ def _write_text(path, text: str) -> None:
         raise FileError(f"cannot write {path}: {e.strerror}") from e
 
 
-def save_curve(curve: ClosedCurve, path, fmt: str | None = None) -> None:
-    path = Path(path)
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "json":
+def save_curve(curve: ClosedCurve, path) -> None:
+    """Write a curve file: CSV if the suffix is .csv (any case), else JSON."""
+    if Path(path).suffix.lower() == ".csv":
+        lines = [f"# dim={curve.dim}"]
+        lines += [",".join(repr(float(x)) for x in v) for v in curve.vertices]
+        _write_text(path, "\n".join(lines) + "\n")
+    else:
         doc = {
             "dim": curve.dim,
             "length_normalized": curve.is_unit_length,
             "vertices": curve.vertices.tolist(),
         }
         _write_text(path, json.dumps(doc) + "\n")
-    elif fmt == "csv":
-        lines = [f"# dim={curve.dim}"]
-        lines += [",".join(repr(float(x)) for x in v) for v in curve.vertices]
-        _write_text(path, "\n".join(lines) + "\n")
-    else:
-        raise FileError(f"unknown curve format {fmt!r}")
 
 
 def _vertex_span(text: str):

@@ -25,10 +25,6 @@ class KTooSmall(CurveCoverError):
     """The piece count k is below the minimum for this operation."""
 
 
-class NoBracket(CurveCoverError):
-    """Root finding could not establish a sign change on the bracket."""
-
-
 class EmptyInput(CurveCoverError):
     """A nonempty sequence was required."""
 

@@ -6,6 +6,7 @@ bit-identical vertices on every platform.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ PARAMS = {"circle": (), "ellipse": ("a", "b"), "rectangle": ("aspect",),
           "regular_polygon": ("m",), "random_closed": ("n", "seed"),
           "lissajous3d": ("freq_a", "freq_b")}
 KINDS = tuple(PARAMS)
+# the params that take integers; an integral float such as 4.0 is accepted
+_INTEGER_PARAMS = ("m", "n", "seed", "freq_a", "freq_b")
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,10 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     if unknown:
         raise BadSpec(f"{spec.kind} does not read params {unknown}; it reads "
                       f"{list(PARAMS[spec.kind]) or 'none'}")
+    for key, v in spec.params.items():
+        whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+        if key in _INTEGER_PARAMS and (isinstance(v, bool) or not whole):
+            raise BadSpec(f"{spec.kind} param {key!r} must be an integer, got {v!r}")
     if spec.kind in ("circle", "ellipse", "lissajous3d"):
         if spec.resolution < 3:
             raise BadSpec("resolution must be >= 3")

@@ -113,7 +113,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     keep[np.argmax(hi - lo)] = True  # the widest cell sets golden_section's steps
     if not keep.all():  # np.compress keeps rows C-contiguous: fast, same sum order
         qa, qb, qc, lo, hi = (np.compress(keep, q, -1) for q in (qa, qb, qc, lo, hi))
-    x, y = golden_section(cost, lo, hi, tol=1e-12)
+    x, y = golden_section(cost, lo, hi)
     cand = np.concatenate((brk[:-1], x))
     i = int(np.argmin(np.concatenate((start, y))))
     return float(cand[i]), uniform_partition(curve, k, float(cand[i]))
@@ -122,7 +122,6 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
 def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:
     if k < 3:
         raise KTooSmall("k must be >= 3")
-    _require_unit(curve)
     t1, _ = min_chord_start(curve, s)
     short = (1.0 - s) / (k - 1)
     starts = np.concatenate(([t1], np.mod(t1 + s + np.arange(k - 1) * short, 1.0)))
@@ -143,8 +142,6 @@ def theorem2_partition(curve: ClosedCurve, k: int) -> Cover:
 def optimized_partition(curve: ClosedCurve, k: int) -> Cover:
     """Same construction with the tuned arc length s_k, guaranteeing
     gamma <= 2(1 - s_k)/(k - 1)."""
-    if k < 3:
-        raise KTooSmall("k must be >= 3")
     s_k, _ = bounds.solve_sk(k)
     return _long_short_cover(curve, k, s_k, "optimized")
 

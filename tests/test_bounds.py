@@ -64,12 +64,6 @@ class TestSolveSk:
         with pytest.raises(KTooSmall):
             solve_sk(2)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
-    def test_bad_tol(self, tol):
-        # a non-finite tol used to skip the bisection: (0.25, 0.375) for every k
-        with pytest.raises(OutOfRange, match=repr(tol)):
-            solve_sk(5, tol)
-
 
 class TestBkkTable:
     def test_small_values(self):

@@ -205,18 +205,18 @@ def test_sampled_split_matches_linspace(corpus, random4k):
 
 def test_golden_section_quadratic():
     # x resolution is limited to ~sqrt(eps) by the flat quadratic
-    x, y = golden_section(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-10)
+    x, y = golden_section(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert y == pytest.approx(1.0, abs=1e-14)
 
 
 def test_golden_section_batched():
     # independent brackets, minima inside, at either end and in a
-    # zero-width bracket, refined together to the requested width
+    # zero-width bracket, refined together to width 1e-12
     lo = np.array([0.0, 1.0, -2.0, 0.5])
     hi = np.array([1.0, 3.0, -1.0, 0.5])
     target = np.array([0.3, 5.0, -5.0, 0.5])
-    x, y = golden_section(lambda t: np.abs(t - target), lo, hi, tol=1e-12)
+    x, y = golden_section(lambda t: np.abs(t - target), lo, hi)
     assert x.shape == y.shape == (4,)
     assert np.allclose(x, np.clip(target, lo, hi), atol=1e-12)
     assert np.allclose(y, np.abs(x - target), atol=0.0)

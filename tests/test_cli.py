@@ -34,9 +34,15 @@ class TestBounds:
 
     def test_csv_render(self, capsys):
         assert main(["bounds", "--kmax", "3", "--render", "csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "k,lower,bkk_upper,new_upper,s_k"
-        assert len(lines) == 4
+        lines = capsys.readouterr().out.splitlines()
+        r = bounds.table1(3)
+        # k = 1 and k = 2 have no s_k: their rows end in an empty field
+        assert lines == [
+            "k,lower,bkk_upper,new_upper,s_k",
+            "1,1.0,1.0,1.0,",
+            f"2,{r[1].lower!r},{r[1].bkk_upper!r},1.0,",
+            f"3,{r[2].lower!r},{r[2].bkk_upper!r},{r[2].new_upper!r},{r[2].s_k!r}",
+        ]
 
     def test_json_render(self, capsys):
         assert main(["bounds", "--kmax", "5", "--render", "json"]) == 0
@@ -82,11 +88,18 @@ class TestPartition:
         assert main(["partition", str(tmp_path / "no.json"), "--k", "3"]) == 2
 
     def test_csv_render(self, circle_file, capsys):
-        assert main(["partition", circle_file, "--k", "3",
-                     "--render", "csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "t_start,length_frac,piece_length"
-        assert len(lines) == 5  # header + 3 pieces + verdict comment
+        # header, one row per piece, then the verdict line, passed and failed
+        for tol, verdict in (("1e-6", "True"), ("-0.1", "False")):
+            argv = ["partition", circle_file, "--k", "3", "--mode", "theorem2",
+                    f"--tol={tol}", "--render"]
+            main(argv + ["json"])
+            doc = json.loads(capsys.readouterr().out)
+            main(argv + ["csv"])
+            assert capsys.readouterr().out.splitlines() == [
+                "t_start,length_frac,piece_length"] + [
+                f"{p['t_start']!r},{p['length_frac']!r},{p['piece_length']!r}"
+                for p in doc["pieces"]] + [
+                f"# gamma={doc['gamma']!r} bound={doc['bound']!r} pass={verdict}"]
 
 
 class TestLoadOnce:
@@ -128,10 +141,20 @@ class TestSweep:
         assert doc["mean_beta_within_bound"] is True
 
     def test_csv_columns(self, square_file, capsys):
-        assert main(["sweep", square_file, "--k", "4", "--samples", "64"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "shift,beta,gamma"
-        assert len(lines) == 66
+        # header, one row per shift, then the verdict line, passed and failed
+        for tol, verdict in (("1e-6", "True"), ("-0.1", "False")):
+            argv = ["sweep", square_file, "--k", "4", "--samples", "64",
+                    f"--tol={tol}", "--render"]
+            main(argv + ["json"])
+            doc = json.loads(capsys.readouterr().out)
+            main(argv + ["table"])  # the CSV
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 66
+            assert lines == ["shift,beta,gamma"] + [
+                f"{r['shift']!r},{r['beta']!r},{r['gamma']!r}"
+                for r in doc["rows"]] + [
+                f"# mean_beta={doc['mean_beta']!r} bound={doc['beta_bound']!r} "
+                f"pass={verdict}"]
 
     def test_min_gamma_sample(self, square_file, capsys):
         assert main(["sweep", square_file, "--k", "4", "--samples", "1024",
@@ -199,6 +222,16 @@ class TestVerify:
         assert len(err) == 1
         assert err[0].startswith(f"FAIL: {check} at s=0.25 ")
         assert err[0].endswith(" by 0.001")
+
+    def test_csv_lines(self, square_file, monkeypatch, capsys):
+        monkeypatch.setattr(chords, "average_chord", lambda curve, s: 0.1)
+        assert main(["verify", square_file, "--s", "0.05", "0.25",
+                     "--render", "csv"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        b05, b25 = (math.sin(math.pi * s) / math.pi for s in (0.05, 0.25))
+        assert lines == ["s,average_chord,bound,slack,pass",
+                         f"0.05,0.1,{b05!r},{b05 - 0.1!r},False",
+                         f"0.25,0.1,{b25!r},{b25 - 0.1!r},True"]
 
     def test_tol_sets_the_slack(self, square_file, monkeypatch):
         bound = math.sin(math.pi * 0.25) / math.pi
@@ -328,6 +361,12 @@ class TestReportPath:
         (["--kind", "circle", "--params", "bogus=1"], "does not read params"),
         (["--kind", "rectangle", "--params", "aspct=10"], "reads ['aspect']"),
         (["--kind", "ellipse", "--params", "a=1e308"], "not finite"),
+        (["--kind", "regular_polygon", "--params", "m=3.5"],
+         "regular_polygon param 'm' must be an integer, got 3.5"),
+        (["--kind", "random_closed", "--params", "n=8.9", "seed=1"],
+         "random_closed param 'n' must be an integer, got 8.9"),
+        (["--kind", "lissajous3d", "--params", "freq_a=2.5"],
+         "lissajous3d param 'freq_a' must be an integer, got 2.5"),
     ])
     def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -335,6 +374,14 @@ class TestReportPath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not out.exists()
+
+
+    def test_gen_integral_float_param(self, tmp_path):
+        paths = [tmp_path / "int.json", tmp_path / "float.json"]
+        for path, m in zip(paths, ("m=4", "m=4.0")):
+            assert main(["gen", "--kind", "regular_polygon", "--params", m,
+                         "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestOneParser:
@@ -383,8 +430,10 @@ class TestOneParser:
 
     def test_negative_tol_demands_a_margin(self, circle_file):
         # gamma is 0.475 against the bound 0.5
-        assert main(["partition", circle_file, "--k", "4", "--tol=-0.02"]) == 0
-        assert main(["partition", circle_file, "--k", "4", "--tol=-0.03"]) == 1
+        for tol in ("--tol=-0.02", "--tol=-2e-2"):
+            assert main(["partition", circle_file, "--k", "4", tol]) == 0
+        for tol in ("--tol=-0.03", "--tol=-3e-2"):
+            assert main(["partition", circle_file, "--k", "4", tol]) == 1
 
 
 class TestDeterminism:

@@ -23,13 +23,27 @@ class TestBuildCurve:
         c = build_curve([(0, 0), (1, 0), (0, 1)])
         assert c.length == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
 
-    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    # below about 1e-154 and above 1e154 a sum of squares under- or overflows
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-165, 1e-160, 1e-13,
+                                       1.0, 1e6, 1e160, 1e200, 1e300])
     def test_merge_tolerance_is_relative(self, scale):
         c = build_curve(np.array([(0, 0), (1, 0), (0, 1)]) * scale)
         assert c.n == 3
-        assert c.length == pytest.approx((2.0 + math.sqrt(2.0)) * scale, rel=1e-15)
+        assert c.length == pytest.approx((2.0 + math.sqrt(2.0)) * scale,
+                                         rel=2.2e-16, abs=0.0)
         near = build_curve(np.array([(0, 0), (1, 0), (1, 1e-13), (0, 1)]) * scale)
         assert near.n == 3
+
+    @pytest.mark.parametrize("power", [-1000, -520, -60, 60, 520, 1000])
+    def test_power_of_two_scale_is_exact(self, power):
+        pts = np.array([(0.1, 0.0), (1.3, 0.2), (0.9, 1.7), (-0.4, 0.6)])
+        raw, scaled = build_curve(pts), build_curve(pts * 2.0**power)
+        assert scaled.cum_lengths.tobytes() == (raw.cum_lengths * 2.0**power).tobytes()
+        assert scaled.length == raw.length * 2.0**power
+        want = build_curve(pts, normalize=True)
+        got = build_curve(pts * 2.0**power, normalize=True)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.cum_lengths.tobytes() == want.cum_lengths.tobytes()
 
     def test_duplicate_vertex_dropped(self):
         c = build_curve([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
@@ -81,31 +95,39 @@ class TestBuildCurve:
         assert c.vertices[0, 0] == 0.0
 
 
+def _over_power_of_two(pts):
+    """pts / 2^e and 2^e, for the power of two 2^e above max |coordinate|."""
+    e = math.frexp(np.max(np.abs(pts)))[1]
+    return np.ldexp(pts, -e), np.ldexp(1.0, e)
+
+
 def _sequential_build(vertices, normalize):
     """Reference: merge by comparing each vertex with the last one kept,
-    one vertex at a time, then the arc-length arithmetic.  None if
-    degenerate."""
+    one vertex at a time, then the arc-length arithmetic.  Lengths are
+    measured on the vertices over a power of two, so no square under- or
+    overflows.  None if degenerate."""
     pts = np.asarray(vertices, dtype=float)
-    tol = MERGE_TOL * np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0))
+    unit = _over_power_of_two(pts)[0]
+    tol = MERGE_TOL * np.hypot.reduce(unit.max(axis=0) - unit.min(axis=0))
     keep = [0]
     for i in range(1, len(pts)):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) >= tol:
+        if np.linalg.norm(unit[i] - unit[keep[-1]]) >= tol:
             keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[0]) < tol:
+    if len(keep) > 1 and np.linalg.norm(unit[keep[-1]] - unit[0]) < tol:
         keep.pop()
     arr = pts[keep]
     if arr.shape[0] < 3:
         return None
-    edges = np.roll(arr, -1, axis=0) - arr
-    seg = np.linalg.norm(edges, axis=1)
+    unit, scale = _over_power_of_two(arr)
+    seg = np.linalg.norm(np.roll(unit, -1, axis=0) - unit, axis=1)
     total = float(seg.sum())
     if total <= 0.0:
         return None
     if normalize:
-        arr, seg = arr / total, seg / total
-        total = float(seg.sum())
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    return arr, cum, cum / total
+        arr, seg = arr / (total * scale), seg / total
+        total, scale = float(seg.sum()), 1.0
+    cum = np.concatenate(([0.0], np.cumsum(seg))) * scale
+    return arr, cum, cum / (total * scale)
 
 
 @st.composite

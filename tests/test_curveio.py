@@ -29,6 +29,16 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.vertices, c.vertices, atol=1e-15)
 
 
+@pytest.mark.parametrize("name, head", [
+    ("c.csv", "# dim=3\n"), ("c.CSV", "# dim=3\n"), ("c.json", '{"dim": 3, ')])
+def test_extension_sets_format(name, head, tmp_path):
+    c = generate(CurveSpec("random_closed", {"n": 8, "seed": 3}, dim=3))
+    path = tmp_path / name
+    save_curve(c, path)
+    assert path.read_text().startswith(head)
+    assert load_curve(path).vertices.tobytes() == c.vertices.tobytes()
+
+
 def test_load_normalize(tmp_path):
     c = generate(CurveSpec("rectangle", {"aspect": 3.0}, normalize=False))
     path = tmp_path / "rect.json"

@@ -83,6 +83,28 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             generate(spec)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("regular_polygon", "m", 3.5), ("regular_polygon", "m", math.inf),
+        ("regular_polygon", "m", math.nan), ("regular_polygon", "m", "5"),
+        ("regular_polygon", "m", True), ("random_closed", "n", 8.9),
+        ("random_closed", "seed", 1.5), ("lissajous3d", "freq_a", 2.5),
+        ("lissajous3d", "freq_b", "4"),
+    ])
+    def test_integer_params_must_be_integers(self, kind, key, value):
+        params = {"n": 8, "seed": 1} if kind == "random_closed" else {}
+        params[key] = value
+        msg = f"{kind} param {key!r} must be an integer, got {value!r}"
+        with pytest.raises(BadSpec, match=re.escape(msg)):
+            generate(CurveSpec(kind, params))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("regular_polygon", {"m": 4}), ("random_closed", {"n": 8, "seed": 1}),
+        ("lissajous3d", {"freq_a": 2, "freq_b": 5})])
+    def test_integral_floats_accepted(self, kind, params):
+        floats = {key: float(v) for key, v in params.items()}
+        assert (generate(CurveSpec(kind, floats)).vertices.tobytes()
+                == generate(CurveSpec(kind, params)).vertices.tobytes())
+
     @pytest.mark.parametrize("kind, params, reads", [
         ("circle", {"bogus": 1}, "none"),
         ("rectangle", {"aspct": 10}, "['aspect']"),

@@ -114,7 +114,7 @@ def _full_search_shift(curve, k, objective):
             return sq.max(axis=0)
         return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
 
-    x, y = golden_section(cost, lo, brk[1:], tol=1e-12)
+    x, y = golden_section(cost, lo, brk[1:])
     cand = np.concatenate((lo, x))
     return float(cand[int(np.argmin(np.concatenate((cost(lo), y))))])
 
