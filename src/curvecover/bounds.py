@@ -42,7 +42,8 @@ def solve_sk(k: int):
 
     The left side minus the right is increasing, -2/(k-1) at s = 0 and at
     least 1/pi at s = 1/2, so the root is unique; bisects to width 1e-14.
-    Returns (s_k, bound) with bound = 2(1-s_k)/(k-1).
+    Returns (s_k, bound = 2(1-s_k)/(k-1)), s_k the last bracket's left end,
+    where the difference is negative: s_k + sin(pi s_k)/pi <= bound.
     """
     if k < 3:
         raise KTooSmall("k must be >= 3")
@@ -54,8 +55,7 @@ def solve_sk(k: int):
             a = m
         else:
             b = m
-    s = 0.5 * (a + b)
-    return s, 2.0 * (1.0 - s) / (k - 1)
+    return a, 2.0 * (1.0 - a) / (k - 1)
 
 
 def bkk_table(k_max: int) -> dict[int, float]:

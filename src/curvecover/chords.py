@@ -3,9 +3,10 @@
 The central quantity is the mean length of the chord spanned by an arc
 of length s, averaged over all starting points of a unit-length closed
 curve.  One cell kernel serves every chord computation: ``_cells`` cuts
-[0, 1) where t or t+s crosses a vertex, and on each cell the chord is
-||a + b t||.  ``average_chord`` integrates it in closed form,
-``min_chord_start`` minimizes it, and ``best_uniform_shift`` reads it.
+[0, 1) where t or t+s crosses a vertex, and on each cell [t0, t1] the
+chord is ||a + b (t - t0)||, with a formed at the cell start.
+``average_chord`` integrates it in closed form, ``min_chord_start``
+minimizes it, and ``best_uniform_shift`` reads it, each as it is.
 """
 
 import math
@@ -48,71 +49,74 @@ def _require_unit(curve: ClosedCurve):
         raise NotNormalized(f"curve length {curve.length} is not 1 within 1e-9")
 
 
-def _affine_at(curve: ClosedCurve, s: float, mids: np.ndarray):
-    """Coefficients (a, b) with r(t+s) - r(t) = a + b t on the cells with
-    midpoints ``mids`` (any shape); a and b add a trailing axis of size d."""
-    u = curve.params
+def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):
+    """(a, b) with r(t+s) - r(t) = a + b (t - t0) on cells [t0, t1] (any shape)
+    where t and t+s each stay on one edge; a and b add a trailing axis of size
+    d.  a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0."""
+    u, vtx, tan = curve.params, curve.vertices, curve._tangents
+    mids = 0.5 * (t0 + t1)
     i = np.clip(np.searchsorted(u, mids, side="right") - 1, 0, curve.n - 1)
-    w = mids + s
-    wrap = w >= 1.0
-    j = np.clip(np.searchsorted(u, np.where(wrap, w - 1.0, w), side="right") - 1,
-                0, curve.n - 1)
-    s_eff = np.where(wrap, s - 1.0, s)
-    ei, ej = np.take(curve._tangents, i, axis=0), np.take(curve._tangents, j, axis=0)
-    a = (np.take(curve.vertices, j, axis=0) - np.take(curve.vertices, i, axis=0)
-         + (s_eff - np.take(u, j))[..., None] * ej + np.take(u, i)[..., None] * ei)
-    b = ej - ei
-    return a, b
+    wrap = mids + s >= 1.0  # t + s runs past 1 on this cell, and t0 >= 1/2
+    j = np.clip(np.searchsorted(u, mids + s - wrap, side="right") - 1, 0, curve.n - 1)
+    ei, ej = np.take(tan, i, axis=0), np.take(tan, j, axis=0)
+    # r(t0) = r_{i+1} - (u_{i+1} - t0) e_i, r(t0+s) = r_j + (t0 - wrap - u_j + s) e_j
+    # (t0 - wrap is exact); where both lie on edge i, a = (s - wrap) e_i outright
+    a = (np.take(vtx, j, axis=0) - np.take(vtx, i + 1, axis=0, mode="wrap")
+         + (np.take(u, i + 1) - t0)[..., None] * ei
+         + ((t0 - wrap - np.take(u, j)) + s)[..., None] * ej)
+    same = i == j
+    if same.any():
+        a[same] = (s - wrap[same])[..., None] * ei[same]
+    return a, ej - ei
 
 
 def _cells(curve: ClosedCurve, s: float):
     """Sorted cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex,
-    and (a, b) with r(t+s) - r(t) = a + b t on each: (t0, t1, a, b)."""
+    and (a, b) with r(t+s) - r(t) = a + b (t - t0) on each: (t0, t1, a, b)."""
     u = curve.params[:-1]
     brk = np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
     t0, t1 = brk[:-1], brk[1:]
-    return (t0, t1) + _affine_at(curve, s, 0.5 * (t0 + t1))
+    return (t0, t1) + _affine_at(curve, s, t0, t1)
 
 
-def _quadratic(a, b):
-    """(A, B, C) = (|b|^2, a.b, |a|^2): ||a + b t||^2 = A t^2 + 2 B t + C."""
-    return tuple(np.einsum("...d,...d->...", x, y) for x, y in ((b, b), (a, b), (a, a)))
+def _ratio(num, den, empty=0.0):
+    """num / den where den >= 2^-1020, else ``empty``: the quotients stay finite,
+    and a subnormal den (|b|^2, a chord or q^2 near zero) drops a negligible term."""
+    return np.divide(num, den, out=np.full_like(num, empty), where=den >= 2.0**-1020)
 
 
-def _norm_affine_integral(a, b, t0, t1):
-    """Vectorized closed form of the integral of ||a + b t|| over [t0, t1].
+def _vertex_form(a, b):
+    """(A, h, q2) with ||a + b t||^2 = A (t + h)^2 + q2, A = |b|^2, h = a.b/A
+    (0 where b = 0) and q2 = |a - h b|^2: two nonnegative terms, so a chord
+    near zero keeps its accuracy, which A t^2 + 2 (a.b) t + |a|^2 loses."""
+    A = np.einsum("...d,...d->...", b, b)
+    h = _ratio(np.einsum("...d,...d->...", a, b), A)
+    q = h[..., None] * b
+    np.subtract(a, q, out=q)  # q = a - h b, in place: k x cells x d in the shift search
+    return A, h, np.einsum("...d,...d->...", q, q)
 
-    With A = |b|^2, the integrand is sqrt(A) * sqrt((t + h)^2 + D) for
-    h = (a.b)/A and D = |a|^2/A - h^2 >= 0; the antiderivative is the
-    classical one in terms of asinh.
+
+def _norm_affine_integral(a, b, T):
+    """Vectorized closed form of the integral of ||a + b t|| over [0, T].
+
+    With beta = |b|, the chord rho = sqrt(p^2 + q^2) has the component
+    p(t) = p0 + beta t along b and q across it.  Reflected so that
+    p0 + p1 >= 0, the integral is 1/2 [T (p0 (p0 + p1)/(rho0 + rho1) + rho1)
+    + q^2 log1p(beta T x)/beta], x = (1 + (p0 + p1)/(rho0 + rho1))/(p0 + rho0):
+    no sum cancels, and beta = 0 takes the limit T x.
     """
-    A, B, C = _quadratic(a, b)
-    dt = t1 - t0
-    out = np.empty_like(dt)
-
-    flat = A <= 1e-20
-    if np.any(flat):
-        # parallel tangents: integrand is constant to within roundoff
-        mid = 0.5 * (t0 + t1)
-        val = np.sqrt(np.maximum(C + mid * (2.0 * B + mid * A), 0.0))
-        out[flat] = val[flat] * dt[flat]
-
-    live = ~flat
-    if np.any(live):
-        Al, Bl, Cl = A[live], B[live], C[live]
-        h = Bl / Al
-        D = np.maximum(Cl / Al - h * h, 0.0)
-        u0 = t0[live] + h
-        u1 = t1[live] + h
-
-        def G(u):
-            r = np.sqrt(u * u + D)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_term = np.where(D > 0.0, D * np.arcsinh(u / np.sqrt(D)), 0.0)
-            return 0.5 * (u * r + log_term)
-
-        out[live] = np.sqrt(Al) * (G(u1) - G(u0))
-    return out
+    A, h, q2 = _vertex_form(a, b)
+    beta = np.sqrt(A)
+    bT = beta * T
+    p0 = h * beta
+    p0 = np.where(2.0 * p0 + bT < 0.0, -(p0 + bT), p0)  # reflected: p0 + p1 >= 0
+    p1 = p0 + bT
+    r0, r1 = np.sqrt(p0 * p0 + q2), np.sqrt(p1 * p1 + q2)
+    lean = _ratio(p0 + p1, r0 + r1)
+    # p0 + rho0 = q^2/(rho0 - p0) where p0 < 0
+    x = _ratio(1.0 + lean, np.where(p0 >= 0.0, p0 + r0, _ratio(q2, r0 - p0)))
+    z = bT * x
+    return 0.5 * T * (p0 * lean + r1 + q2 * x * _ratio(np.log1p(z), z, 1.0))
 
 
 def average_chord(curve: ClosedCurve, s: float,
@@ -129,7 +133,7 @@ def average_chord(curve: ClosedCurve, s: float,
         return 0.0
     t0, t1, a, b = _cells(curve, s)
     if cfg.mode == "exact-piecewise":
-        return float(np.sum(_norm_affine_integral(a, b, t0, t1)))
+        return float(np.sum(_norm_affine_integral(a, b, t1 - t0)))
     # sampled: composite midpoint on the same cells, each first split into
     # equal parts of at most 1/64 with np.linspace's edges, so the rule stays
     # within 1e-6 of the closed form at the default settings (coarse polygons)
@@ -172,9 +176,9 @@ def golden_section(f, a, b):
 def min_chord_start(curve: ClosedCurve, s: float):
     """Start parameter minimizing the chord spanned by an arc of length s.
 
-    Exact: on each breakpoint cell [t0, t1] the chord is ||a + b t||, so
-    its minimum is at t* = clip(-a.b / |b|^2, t0, t1), or at t0 where
-    b = 0; it never exceeds the average chord.  Ties: the smallest t
+    Exact: on each breakpoint cell [t0, t1] the chord is ||a + b (t - t0)||,
+    so its minimum is at t0 + clip(-a.b / |b|^2, 0, t1 - t0), or at t0
+    where b = 0; it never exceeds the average chord.  Ties: the smallest t
     whose cell minimum is within a relative ``MIN_TIE_RTOL`` of the
     global minimum wins.  Returns (t_star, chord).
     """
@@ -182,9 +186,8 @@ def min_chord_start(curve: ClosedCurve, s: float):
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
     t0, t1, a, b = _cells(curve, s)
-    bb, ab, _ = _quadratic(a, b)
-    t = np.clip(np.divide(-ab, bb, out=t0.copy(), where=bb > 0.0), t0, t1)
-    v = a + b * t[:, None]
-    chords = np.sqrt(np.einsum("ij,ij->i", v, v))
+    A, h, q2 = _vertex_form(a, b)
+    tau = np.clip(-h, 0.0, t1 - t0)
+    chords = np.sqrt(A * np.square(tau + h) + q2)
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
-    return float(t[i]) % 1.0, float(chords[i])
+    return float(t0[i] + tau[i]) % 1.0, float(chords[i])

@@ -42,6 +42,7 @@ PARAMS = {"circle": (), "ellipse": ("a", "b"), "rectangle": ("aspect",),
 KINDS = tuple(PARAMS)
 # the params that take integers; an integral float such as 4.0 is accepted
 _INTEGER_PARAMS = ("m", "n", "seed", "freq_a", "freq_b")
+_MAX_COORDS = 2**25  # the most vertices x dim generate builds: 256 MiB of floats
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,11 @@ def generate(spec: CurveSpec) -> ClosedCurve:
         whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
         if key in _INTEGER_PARAMS and (isinstance(v, bool) or not whole):
             raise BadSpec(f"{spec.kind} param {key!r} must be an integer, got {v!r}")
+    count = {"rectangle": 4, "regular_polygon": spec.params.get("m", 3),
+             "random_closed": spec.params.get("n", 0)}.get(spec.kind, spec.resolution)
+    if count * (spec.dim or 3) > _MAX_COORDS:
+        raise BadSpec(f"{count:g} vertices x dim {spec.dim or 3} is over the cap of "
+                      f"{_MAX_COORDS} coordinates")
     if spec.kind in ("circle", "ellipse", "lissajous3d"):
         if spec.resolution < 3:
             raise BadSpec("resolution must be >= 3")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import (_affine_at, _quadratic, _require_unit, golden_section,
+from .chords import (_affine_at, _require_unit, _vertex_form, golden_section,
                      min_chord_start)
 from .curve import Arc, ClosedCurve, chord_length
 from .errors import KTooSmall, NotAPartition, OutOfRange
@@ -87,33 +87,24 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     lo, hi = brk[:-1], brk[1:]
     # one row of cells per arc, shifted by j/k
     shifted = brk[None, :] + (np.arange(k) / k)[:, None]
-    a, b = _affine_at(curve, period, 0.5 * (shifted[:, :-1] + shifted[:, 1:]))
-    v0 = a + b * shifted[:, :-1, None]  # chord vector at each cell's start
-    qa, qb, qc = _quadratic(v0, b)
-    del a, b, v0
-    vertex = np.clip(np.divide(-qb, qa, out=np.zeros_like(qa), where=qa > 0.0),
-                     0.0, hi - lo)
-    qb *= 2.0  # ||v0 + b tau||^2 = qa tau^2 + qb tau + qc, tau = sigma - lo
+    qa, h, qm = _vertex_form(*_affine_at(curve, period, shifted[:, :-1], shifted[:, 1:]))
 
-    def reduce(sq):
-        if objective == "max":
-            return sq.max(axis=0)
-        return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
+    def sq(tau):  # each arc's squared chord at shift lo + tau
+        return qa * np.square(tau + h) + qm
 
-    def cost(sigma):
-        tau = sigma - lo
-        return reduce((qa * tau + qb) * tau + qc)
+    def reduce(v):
+        return v.max(axis=0) if objective == "max" else np.sqrt(v).sum(axis=0)
 
-    start = reduce(qc)  # cost(brk[:-1]), as tau = 0
-    # Each arc's minimum less 2e-13 (qa/k^2 + qc), 450 ulp of its terms at tau <=
-    # 1/k (Cauchy-Schwarz), bounds the rounding here and at the search's points (a
-    # few ulp past the cell end), under the square root; max and sums are monotone.
-    low = (qa * vertex + qb) * vertex + qc - 2e-13 * (qa * period**2 + qc)
-    keep = reduce(low) <= start.min()
+    start = reduce(sq0 := sq(0.0))  # the cost at lo, as lo - lo = 0
+    # On a cell sq <= 2 (qa/k^2 + sq0), and its rounding, also at the search's points
+    # a few ulp past the cell end, is a few ulp of that: far below the 2e-13 (qa/k^2
+    # + sq0) taken off each arc's minimum.  Max and sums are monotone.
+    low = sq(np.clip(-h, 0.0, hi - lo)) - 2e-13 * (qa * period**2 + sq0)
+    keep = reduce(np.maximum(low, 0.0)) <= start.min()
     keep[np.argmax(hi - lo)] = True  # the widest cell sets golden_section's steps
     if not keep.all():  # np.compress keeps rows C-contiguous: fast, same sum order
-        qa, qb, qc, lo, hi = (np.compress(keep, q, -1) for q in (qa, qb, qc, lo, hi))
-    x, y = golden_section(cost, lo, hi)
+        qa, h, qm, lo, hi = (np.compress(keep, q, -1) for q in (qa, h, qm, lo, hi))
+    x, y = golden_section(lambda sigma: reduce(sq(sigma - lo)), lo, hi)
     cand = np.concatenate((brk[:-1], x))
     i = int(np.argmin(np.concatenate((start, y))))
     return float(cand[i]), uniform_partition(curve, k, float(cand[i]))

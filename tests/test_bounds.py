@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from curvecover import (beta_extremal, bkk_table, gamma_upper_refined,
@@ -63,6 +64,16 @@ class TestSolveSk:
     def test_k2(self):
         with pytest.raises(KTooSmall):
             solve_sk(2)
+
+    def test_long_arc_within_bound_mpmath(self):
+        # at the returned float s_k, s_k + sin(pi s_k)/pi <= 2(1 - s_k)/(k - 1)
+        # in 40-digit arithmetic, and the residual stays below 2e-14
+        with mpmath.workdps(40):
+            for k in range(3, 201):
+                s, bound = solve_sk(k)
+                long_arc = mpmath.mpf(s) + mpmath.sin(mpmath.pi * s) / mpmath.pi
+                assert long_arc <= bound, k
+                assert abs(long_arc - 2 * (1 - mpmath.mpf(s)) / (k - 1)) < 2e-14, k
 
 
 class TestBkkTable:

@@ -367,6 +367,10 @@ class TestReportPath:
          "random_closed param 'n' must be an integer, got 8.9"),
         (["--kind", "lissajous3d", "--params", "freq_a=2.5"],
          "lissajous3d param 'freq_a' must be an integer, got 2.5"),
+        (["--kind", "regular_polygon", "--params", "m=1e30"], "over the cap"),
+        (["--kind", "circle", "--resolution", str(10**14)], "over the cap"),
+        (["--kind", "random_closed", "--params", "n=16", "seed=7", "--dim", str(10**8)],
+         "over the cap"),
     ])
     def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,21 @@ class TestGenerate:
     def test_bad_specs(self, spec):
         with pytest.raises(BadSpec):
             generate(spec)
+
+    @pytest.mark.parametrize("spec", [
+        CurveSpec("regular_polygon", {"m": 1e30}),
+        CurveSpec("circle", resolution=10**14),
+        CurveSpec("random_closed", {"n": 16, "seed": 7}, dim=10**8),
+    ])
+    def test_size_cap_rejects_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadSpec, match="over the cap of 33554432 coordinates"):
+                generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("kind, key, value", [
         ("regular_polygon", "m", 3.5), ("regular_polygon", "m", math.inf),

@@ -9,7 +9,7 @@ from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift, build_cur
                         chord_length, cover_metrics, cover_report,
                         gamma_upper_refined, golden_section, optimized_partition,
                         solve_sk, theorem2_partition, uniform_partition)
-from curvecover.chords import _affine_at, _quadratic
+from curvecover.chords import _affine_at, _vertex_form
 from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
                                NotNormalized, OutOfRange)
 
@@ -102,17 +102,11 @@ def _full_search_shift(curve, k, objective):
                                     [0.0, period])))
     lo = brk[:-1]
     shifted = brk[None, :] + (np.arange(k) / k)[:, None]
-    a, b = _affine_at(curve, period, 0.5 * (shifted[:, :-1] + shifted[:, 1:]))
-    v0 = a + b * shifted[:, :-1, None]
-    qa, qb, qc = _quadratic(v0, b)
-    qb *= 2.0
+    qa, h, qm = _vertex_form(*_affine_at(curve, period, shifted[:, :-1], shifted[:, 1:]))
 
     def cost(sigma):
-        tau = sigma - lo
-        sq = (qa * tau + qb) * tau + qc
-        if objective == "max":
-            return sq.max(axis=0)
-        return np.sqrt(np.maximum(sq, 0.0)).sum(axis=0)
+        sq = qa * np.square(sigma - lo + h) + qm
+        return sq.max(axis=0) if objective == "max" else np.sqrt(sq).sum(axis=0)
 
     x, y = golden_section(cost, lo, brk[1:])
     cand = np.concatenate((lo, x))
