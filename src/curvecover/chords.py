@@ -23,6 +23,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # min_chord_start: cell minima within this relative distance of the
 # global minimum tie, and the smallest start among them wins.
 MIN_TIE_RTOL = 1e-12
+_SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
 
 
 @dataclass(frozen=True)
@@ -30,18 +31,15 @@ class QuadratureConfig:
     """How to evaluate the average-chord integral.
 
     ``exact-piecewise`` integrates the closed form on every breakpoint
-    interval; ``sampled`` uses a composite midpoint rule with
-    ``samples_per_breakpoint`` midpoints per interval.
+    interval; ``sampled`` uses a composite midpoint rule with 64 midpoints
+    on each part of at most 1/64 of an interval.
     """
 
     mode: str = "exact-piecewise"
-    samples_per_breakpoint: int = 64
 
     def __post_init__(self):
         if self.mode not in ("exact-piecewise", "sampled"):
             raise OutOfRange(f"unknown quadrature mode {self.mode!r}")
-        if self.samples_per_breakpoint < 1:
-            raise OutOfRange("samples_per_breakpoint must be positive")
 
 
 def _require_unit(curve: ClosedCurve):
@@ -136,18 +134,17 @@ def average_chord(curve: ClosedCurve, s: float,
         return float(np.sum(_norm_affine_integral(a, b, t1 - t0)))
     # sampled: composite midpoint on the same cells, each first split into
     # equal parts of at most 1/64 with np.linspace's edges, so the rule stays
-    # within 1e-6 of the closed form at the default settings (coarse polygons)
-    parts = np.maximum(1, np.ceil((t1 - t0) * 64.0)).astype(int)
+    # within 1e-6 of the closed form (coarse polygons)
+    parts = np.maximum(1, np.ceil((t1 - t0) * _SAMPLES)).astype(int)
     cell = np.repeat(np.arange(len(t0)), parts)
     i = np.arange(len(cell)) - np.repeat(np.cumsum(parts) - parts, parts)
     step, start = ((t1 - t0) / parts)[cell], t0[cell]
     p0 = i * step + start
     p1 = np.where(i + 1 == parts[cell], t1[cell], (i + 1) * step + start)
-    m = cfg.samples_per_breakpoint
-    offs = (np.arange(m) + 0.5) / m
+    offs = (np.arange(_SAMPLES) + 0.5) / _SAMPLES
     ts = p0[:, None] + offs[None, :] * (p1 - p0)[:, None]
     vals = chord_length(curve, ts.ravel(), s).reshape(ts.shape)
-    return float(np.sum(vals.sum(axis=1) * (p1 - p0) / m))
+    return float(np.sum(vals.sum(axis=1) * (p1 - p0) / _SAMPLES))
 
 
 def golden_section(f, a, b):
@@ -191,3 +188,33 @@ def min_chord_start(curve: ClosedCurve, s: float):
     chords = np.sqrt(A * np.square(tau + h) + q2)
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
     return float(t0[i] + tau[i]) % 1.0, float(chords[i])
+
+
+def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):
+    """(passes, err): value <= bound passes iff value <= bound + err, err an a
+    priori bound on the rounding of both sides.  ``scaled``: value is a chord,
+    so grows with the curve's length L; gamma does not.
+
+    Exact is the polyline through the stored vertices at exact arc-length
+    fractions.  To first order in u = 2^-53, with n vertices in R^d, R the
+    largest vertex norm over L and l = |L - 1| where ``scaled``, else 0: an
+    edge length is good to (d + 3) u, plus 2uR where normalizing rounded the
+    vertices; the sequential cum_lengths sum adds (n - 1) u and the sum L n u,
+    so a parameter is within P = 2 (n + d + 4 + 2Rn) u.  The kernel walks each
+    edge from its end vertex at unit speed, so a0 + b tau is off by 2.5 P + l,
+    plus (2d + 23 + 4R) u forming a0 (four terms of norm <= 1/2), b tau and the
+    cell breakpoints.  The per-cell closed form is good to (4d + 24) u relative
+    (no term loses more than the chord's ratio to its cell maximum, and the
+    integral is >= T max(rho0, rho1)/4), the minimum chord to (d + 3) u/2, and
+    pairwise summation of <= 2n cells adds (log2 n + 13) u relative.
+    chord_length, then the division by L, is off by 2.25 P + (d + 10 + 6R) u.
+    A bound formula rounds to 5u relative, and scales with L by l + P/2.  All
+    told, err = 6 (n + 2d + 8)(1 + 2R)(1 + |value| + |bound|) u + 2l.
+    """
+    v = curve.vertices / curve.length
+    rmax = math.sqrt(np.einsum("ij,ij->i", v, v).max())
+    err = 6 * (curve.n + 2 * curve.dim + 8) * (1 + 2 * rmax) * 2.0**-53
+    err *= 1 + abs(value) + abs(bound)
+    if scaled:
+        err += 2 * abs(curve.length - 1.0)
+    return value <= bound + err, err

@@ -9,10 +9,13 @@ Subcommands:
 
 Every command but gen writes a report to --out FILE (default stdout)
 as --render json, csv or table; table is the aligned table for bounds,
-the CSV for sweep and the JSON for partition and verify.  partition,
-sweep and verify take --tol, the slack allowed on each verdict, and
-print one FAIL line on stderr per failed verdict.  Exit status: 0 if
-every certified verdict passes, 1 if one fails, 2 on bad input.
+the CSV for sweep and the JSON for partition and verify.  A verdict
+value <= bound FAILs iff value > bound + err, err an a priori rounding
+bound from the curve's vertex count, dimension and largest vertex norm
+and the two values; sweep judges the exact mean of beta over all shifts,
+1/k + average_chord(1/k).  Each failed verdict prints one FAIL line on
+stderr.  Exit status: 0 if every certified verdict passes, 1 if one
+fails, 2 on bad input.
 """
 
 import argparse
@@ -37,6 +40,12 @@ def _load_normalized(path):
     note = f"input curve length {curve.length:.12g} != 1; auto-normalized"
     # same merged vertices, so equal to load_curve(path, normalize=True)
     return _assemble(curve.vertices, normalize=True), [note]
+
+
+def _fail(check, value, bound_name, bound, err):
+    """The FAIL line of a verdict value <= bound that failed."""
+    return (f"FAIL: {check} is {value!r}, above {bound_name} {bound!r} "
+            f"by {value - bound:.3g} (err {err:.3g})")
 
 
 def _fmt3(x):
@@ -115,14 +124,14 @@ def cmd_partition(args):
     else:  # optimized
         cover = part.optimized_partition(curve, k)
         shift_or_s, bound = bnd.solve_sk(k)
-    report = part.cover_report(curve, cover, bound, shift_or_s, tol=args.tol)
+    report = part.cover_report(curve, cover, bound, shift_or_s)
     report["command"] = "partition"
     report["notes"] = notes
     csv = _csv(report["pieces"], ("t_start", "length_frac", "piece_length"),
                ("gamma", report["gamma"]), ("bound", report["bound"]),
-               ("pass", report["bound_satisfied"]))
-    fails = [] if report["bound_satisfied"] else [
-        f"FAIL: gamma {report['gamma']} exceeds certified bound {report['bound']}"]
+               ("pass", report["bound_satisfied"]), ("err", report["err"]))
+    fails = [] if report["bound_satisfied"] else [_fail(
+        "gamma", report["gamma"], "certified bound", report["bound"], report["err"])]
     return {"json": report, "csv": csv, "table": report}, fails
 
 
@@ -142,14 +151,16 @@ def cmd_sweep(args):
     rows = [{"shift": a, "beta": b, "gamma": g} for a, b, g in
             zip(shifts.tolist(), betas.tolist(), gammas.tolist())]
     mean_beta = math.fsum(betas.tolist()) / len(rows)
+    exact = 1.0 if k == 1 else 1.0 / k + chords.average_chord(curve, 1.0 / k)
     bound = bnd.beta_extremal(k)
-    ok = mean_beta <= bound + args.tol
+    ok, err = chords._verdict(curve, exact, bound)
     doc = {"command": "sweep", "k": k, "samples": args.samples, "rows": rows,
-           "mean_beta": mean_beta, "beta_bound": bound,
-           "mean_beta_within_bound": ok, "notes": notes}
+           "mean_beta": mean_beta, "exact_mean_beta": exact, "beta_bound": bound,
+           "mean_beta_within_bound": ok, "err": err, "notes": notes}
     csv = _csv(rows, ("shift", "beta", "gamma"), ("mean_beta", mean_beta),
-               ("bound", bound), ("pass", ok))
-    fails = [] if ok else [f"FAIL: mean beta {mean_beta} exceeds bound {bound}"]
+               ("exact_mean_beta", exact), ("bound", bound), ("pass", ok),
+               ("err", err))
+    fails = [] if ok else [_fail("mean beta over all shifts", exact, "bound", bound, err)]
     return {"json": doc, "csv": csv, "table": csv}, fails
 
 
@@ -159,29 +170,27 @@ def cmd_verify(args):
     for s in args.s:
         value = chords.average_chord(curve, s)
         bound = math.sin(math.pi * s) / math.pi
-        slack = bound - value
-        entry = {"s": s, "average_chord": value, "bound": bound, "slack": slack,
-                 "pass": value <= bound + args.tol, "near_equality": slack < 1e-4}
-        checked = [("average_chord", value, entry["pass"])]
+        ok, err = chords._verdict(curve, value, bound)
+        entry = {"s": s, "average_chord": value, "bound": bound,
+                 "slack": bound - value, "pass": ok, "err": err}
+        checked = [("average_chord", value, ok, err)]
         if s > 0.0:
             t_star, chord = chords.min_chord_start(curve, s)
+            ok, err = chords._verdict(curve, chord, bound)
             entry["min_chord"] = {"t_star": t_star, "chord": chord,
-                                  "below_bound": chord <= bound + args.tol}
-            checked.append(("min_chord", chord, entry["min_chord"]["below_bound"]))
-        fails += [f"FAIL: {name} at s={s!r} is {v!r}, above sin(pi s)/pi = "
-                  f"{bound!r} by {v - bound:.3g}" for name, v, ok in checked if not ok]
+                                  "below_bound": ok, "err": err}
+            checked.append(("min_chord", chord, ok, err))
+        fails += [_fail(f"{name} at s={s!r}", v, "sin(pi s)/pi =", bound, e)
+                  for name, v, ok, e in checked if not ok]
         results.append(entry)
     doc = {"command": "verify", "results": results, "notes": notes}
-    csv = _csv(results, ("s", "average_chord", "bound", "slack", "pass"))
+    csv = _csv(results, ("s", "average_chord", "bound", "slack", "pass", "err"))
     return {"json": doc, "csv": csv, "table": doc}, fails
 
 
-def _report_flags(sp, tol=None):
+def _report_flags(sp):
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     sp.add_argument("--render", choices=("table", "json", "csv"), default="table")
-    if tol is not None:
-        sp.add_argument("--tol", type=float, default=tol,
-                        help="verdict slack; write a negative one as --tol=-1e-3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,18 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("uniform", "best", "theorem2", "optimized"),
                     default="uniform")
     sp.add_argument("--shift", type=float, default=None)
-    _report_flags(sp, tol=1e-6)
+    _report_flags(sp)
 
     sp = sub.add_parser("sweep", help="uniform-cover metrics over a shift grid")
     sp.add_argument("curve")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, default=1024)
-    _report_flags(sp, tol=1e-6)
+    _report_flags(sp)
 
     sp = sub.add_parser("verify", help="check the average-chord inequality")
     sp.add_argument("curve")
     sp.add_argument("--s", type=float, nargs="+", required=True)
-    _report_flags(sp, tol=1e-9)
+    _report_flags(sp)
     return p
 
 
@@ -231,9 +240,6 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        tol = getattr(args, "tol", 0.0)
-        if not math.isfinite(tol):
-            raise BadFlag(f"--tol must be finite, got {tol!r}")
         # looked up per call, so a handler rebound after the first call runs
         report = globals()["cmd_" + args.command](args)
         if report is None:  # gen wrote its curve file

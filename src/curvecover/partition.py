@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import (_affine_at, _require_unit, _vertex_form, golden_section,
-                     min_chord_start)
+from .chords import (_affine_at, _require_unit, _verdict, _vertex_form,
+                     golden_section, min_chord_start)
 from .curve import Arc, ClosedCurve, chord_length
 from .errors import KTooSmall, NotAPartition, OutOfRange
 
@@ -157,9 +157,11 @@ def cover_metrics(curve: ClosedCurve, cover: Cover) -> CoverMetrics:
 
 
 def cover_report(curve: ClosedCurve, cover: Cover, bound: float,
-                 shift_or_s: float = 0.0, tol: float = 1e-6) -> dict:
-    """JSON-ready report of a cover and its certified-bound verdict."""
+                 shift_or_s: float = 0.0) -> dict:
+    """JSON-ready report of a cover and its certified-bound verdict: gamma
+    passes iff it is at most bound + err, err its rounding bound."""
     metrics = cover_metrics(curve, cover)
+    passes, err = _verdict(curve, metrics.gamma, bound, scaled=False)
     return {
         "k": len(cover.pieces),
         "construction": cover.construction,
@@ -172,5 +174,6 @@ def cover_report(curve: ClosedCurve, cover: Cover, bound: float,
         "beta": metrics.beta,
         "gamma": metrics.gamma,
         "bound": bound,
-        "bound_satisfied": metrics.gamma <= bound + tol,
+        "bound_satisfied": passes,
+        "err": err,
     }

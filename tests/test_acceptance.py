@@ -138,7 +138,7 @@ def test_criterion_6_construction_certificates(corpus):
 def test_criterion_7_oracle_equivalence(corpus):
     t0 = time.time()
     failures = []
-    cfg = QuadratureConfig("sampled", 64)
+    cfg = QuadratureConfig("sampled")
     for name, curve in corpus.items():
         for s in (0.05, 0.25, 0.5):
             exact = average_chord(curve, s)

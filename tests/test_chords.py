@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvecover import (CurveSpec, QuadratureConfig, average_chord, build_curve,
-                        chord_length, generate, golden_section, min_chord_start)
-from curvecover.chords import _cells, _norm_affine_integral
+from curvecover import (CurveSpec, QuadratureConfig, average_chord,
+                        best_uniform_shift, build_curve, chord_length, cover_report,
+                        gamma_upper_refined, gamma_upper_simple, generate,
+                        golden_section, min_chord_start, optimized_partition,
+                        solve_sk, theorem2_partition)
+from curvecover.chords import _cells, _norm_affine_integral, _verdict
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
-SAMPLED = QuadratureConfig("sampled", 64)
+SAMPLED = QuadratureConfig("sampled")
 S_VALUES = [0.05, 0.1, 0.25, 0.4, 0.5]
 
 
@@ -72,8 +76,6 @@ class TestAverageChord:
     def test_bad_quadrature_config(self):
         with pytest.raises(OutOfRange):
             QuadratureConfig("simpson")
-        with pytest.raises(OutOfRange):
-            QuadratureConfig("sampled", 0)
 
 
 class TestMinChordStart:
@@ -171,6 +173,111 @@ def _mp_integral(a, b, T):
         knots = [0, vertex, T] if 0 < vertex < T else [0, T]
         return mpmath.quad(lambda t: mpmath.sqrt(mpmath.fsum(
             (x + y * t) ** 2 for x, y in zip(a, b))), knots)
+
+
+def _mp_closed(a, b, T):
+    """40-digit closed form of the integral of ||a + b t|| over [0, T]; the
+    asinh antiderivative's cancellation leaves far more than 16 digits."""
+    with mpmath.workdps(40):
+        A = mpmath.fsum(x * x for x in b)
+        if not A:
+            return T * mpmath.sqrt(mpmath.fsum(x * x for x in a))
+        h = mpmath.fsum(x * y for x, y in zip(a, b)) / A
+        k2 = mpmath.fsum((x - h * y) ** 2 for x, y in zip(a, b)) / A
+
+        def F(x):  # an antiderivative of sqrt(x^2 + k2)
+            tail = k2 * mpmath.asinh(x / mpmath.sqrt(k2)) if k2 else 0
+            return x * mpmath.sqrt(x * x + k2) + tail
+        return mpmath.sqrt(A) * (F(T + h) - F(h)) / 2
+
+
+class _MpPolyline:
+    """The polyline through a curve's float vertices at exact arc-length
+    fractions t, in 40-digit arithmetic: the exact quantities that each
+    verdict's err must cover."""
+
+    def __init__(self, curve):
+        with mpmath.workdps(40):
+            vtx = [[mpmath.mpf(x) for x in row] for row in curve.vertices.tolist()]
+            n = len(vtx)
+            edges = [[y - x for x, y in zip(vtx[i], vtx[(i + 1) % n])]
+                     for i in range(n)]
+            seg = [mpmath.sqrt(mpmath.fsum(x * x for x in e)) for e in edges]
+            cum = [mpmath.mpf(0)]
+            for length in seg:
+                cum.append(cum[-1] + length)
+            self.vtx, self.length = vtx, cum[-1]
+            self.u = [c / self.length for c in cum]
+            self.vel = [[x * self.length / length for x in e]  # dr/dt on each edge
+                        for e, length in zip(edges, seg)]
+
+    def _edge(self, t):
+        return min(bisect.bisect_right(self.u, t) - 1, len(self.vtx) - 1)
+
+    def _at(self, i, t):  # r(t) on (the line of) edge i
+        return [v + (t - self.u[i]) * x for v, x in zip(self.vtx[i], self.vel[i])]
+
+    def chord(self, t, s):
+        with mpmath.workdps(40):
+            t1 = (mpmath.mpf(t) + s) % 1
+            p, q = self._at(self._edge(t), t), self._at(self._edge(t1), t1)
+            return mpmath.sqrt(mpmath.fsum((x - y) ** 2 for x, y in zip(p, q)))
+
+    def cells(self, s):
+        """(a, b, T) with chord ||a + b tau|| on each cell [t0, t0 + T]."""
+        with mpmath.workdps(40):
+            us = self.u[:-1]
+            brk = sorted(set(us + [(x - s) % 1 for x in us] + [mpmath.mpf(1)]))
+            cells = []
+            for t0, t1 in zip(brk[:-1], brk[1:]):
+                mid = (t0 + t1) / 2
+                wrap = 1 if mid + s >= 1 else 0
+                i, j = self._edge(mid), self._edge(mid + s - wrap)
+                a = [y - x for x, y in zip(self._at(i, t0), self._at(j, t0 + s - wrap))]
+                b = [y - x for x, y in zip(self.vel[i], self.vel[j])]
+                cells.append((a, b, t1 - t0))
+            return cells
+
+
+def _mp_min_chord(cells):
+    with mpmath.workdps(40):
+        lows = []
+        for a, b, T in cells:
+            A = mpmath.fsum(x * x for x in b)
+            tau = min(max(-mpmath.fsum(x * y for x, y in zip(a, b)) / A, 0), T) if A else 0
+            lows.append(mpmath.sqrt(mpmath.fsum((x + y * tau) ** 2 for x, y in zip(a, b))))
+        return min(lows)
+
+
+@pytest.mark.parametrize("spec, s_values, ks", [
+    (CurveSpec("circle"), (0.3,), (5,)),
+    (CurveSpec("random_closed", {"n": 40, "seed": 3}, dim=5), (0.05, 0.3, 0.5), (3, 5, 13)),
+    (CurveSpec("rectangle", {"aspect": 3.0}), (0.05, 0.3, 0.5), (3, 5, 13)),
+], ids=["circle-4096", "random-d5", "rectangle"])
+def test_verdicts_within_err_of_mpmath(spec, s_values, ks):
+    # average chord, minimum chord and gamma against their exact values on the
+    # float vertices: each within the err of its verdict
+    curve = generate(spec)
+    poly = _MpPolyline(curve)
+    for s in s_values:
+        bound = circle_bound(s)
+        cells = poly.cells(s)
+        for a, b, T in cells[::max(1, len(cells) // 6)]:  # closed form against quad
+            assert abs(_mp_closed(a, b, T) - _mp_integral(a, b, T)) <= 1e-30 * T
+        got = average_chord(curve, s)
+        assert abs(got - mpmath.fsum(_mp_closed(*c) for c in cells)) <= \
+            _verdict(curve, got, bound)[1]
+        _, low = min_chord_start(curve, s)
+        assert abs(low - _mp_min_chord(cells)) <= _verdict(curve, low, bound)[1]
+    for k in ks:
+        shift, best = best_uniform_shift(curve, k)
+        for cover, bound in ((theorem2_partition(curve, k), gamma_upper_refined(k)),
+                             (optimized_partition(curve, k), solve_sk(k)[1]),
+                             (best, gamma_upper_simple(k))):
+            report = cover_report(curve, cover, bound)
+            exact = max(a.length_frac + poly.chord(a.t_start, a.length_frac) / poly.length
+                        for a in cover.pieces)
+            assert abs(report["gamma"] - exact) <= report["err"], (k, cover.construction)
 
 
 def _kernel_cells():

@@ -87,19 +87,37 @@ class TestPartition:
     def test_missing_file(self, tmp_path):
         assert main(["partition", str(tmp_path / "no.json"), "--k", "3"]) == 2
 
-    def test_csv_render(self, circle_file, capsys):
+    @pytest.mark.parametrize("params, k, mode", [
+        (["m=7"], 11, "best"), (["m=4"], 12, "optimized"), (["m=8"], 12, "best"),
+    ], ids=["heptagon-best", "square-optimized", "octagon-best"])
+    def test_rounding_at_equality_passes(self, params, k, mode, tmp_path, capsys):
+        # pieces on the straight sides reach the bound exactly; gamma lands a
+        # few ulp above it, within err
+        path = str(tmp_path / "p.json")
+        assert main(["gen", "--kind", "regular_polygon", "--params"] + params
+                    + ["--out", path]) == 0
+        assert main(["partition", path, "--k", str(k), "--mode", mode,
+                     "--render", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 0.0 < doc["gamma"] - doc["bound"] <= doc["err"]
+        assert doc["bound_satisfied"] is True
+
+    def test_csv_render(self, circle_file, monkeypatch, capsys):
         # header, one row per piece, then the verdict line, passed and failed
-        for tol, verdict in (("1e-6", "True"), ("-0.1", "False")):
-            argv = ["partition", circle_file, "--k", "3", "--mode", "theorem2",
-                    f"--tol={tol}", "--render"]
-            main(argv + ["json"])
+        argv = ["partition", circle_file, "--k", "3", "--mode", "theorem2",
+                "--render"]
+        for code, verdict in ((0, "True"), (1, "False")):
+            if code:
+                monkeypatch.setattr(bounds, "gamma_upper_refined", lambda k: 0.1)
+            assert main(argv + ["json"]) == code
             doc = json.loads(capsys.readouterr().out)
-            main(argv + ["csv"])
+            assert main(argv + ["csv"]) == code
             assert capsys.readouterr().out.splitlines() == [
                 "t_start,length_frac,piece_length"] + [
                 f"{p['t_start']!r},{p['length_frac']!r},{p['piece_length']!r}"
                 for p in doc["pieces"]] + [
-                f"# gamma={doc['gamma']!r} bound={doc['bound']!r} pass={verdict}"]
+                f"# gamma={doc['gamma']!r} bound={doc['bound']!r} pass={verdict} "
+                f"err={doc['err']!r}"]
 
 
 class TestLoadOnce:
@@ -123,8 +141,7 @@ class TestLoadOnce:
         raw = load_curve(path)
         curve = load_curve(path, normalize=True)
         s_k, bound = solve_sk(5)
-        expect = cover_report(curve, optimized_partition(curve, 5), bound,
-                              s_k, tol=1e-6)
+        expect = cover_report(curve, optimized_partition(curve, 5), bound, s_k)
         expect["command"] = "partition"
         expect["notes"] = [
             f"input curve length {raw.length:.12g} != 1; auto-normalized"]
@@ -140,21 +157,47 @@ class TestSweep:
         assert all(abs(b - 0.609) < 1e-3 for b in betas)
         assert doc["mean_beta_within_bound"] is True
 
-    def test_csv_columns(self, square_file, capsys):
+    def test_csv_columns(self, square_file, monkeypatch, capsys):
         # header, one row per shift, then the verdict line, passed and failed
-        for tol, verdict in (("1e-6", "True"), ("-0.1", "False")):
-            argv = ["sweep", square_file, "--k", "4", "--samples", "64",
-                    f"--tol={tol}", "--render"]
-            main(argv + ["json"])
+        argv = ["sweep", square_file, "--k", "4", "--samples", "64", "--render"]
+        for code, verdict in ((0, "True"), (1, "False")):
+            if code:
+                monkeypatch.setattr(bounds, "beta_extremal", lambda k: 0.1)
+            assert main(argv + ["json"]) == code
             doc = json.loads(capsys.readouterr().out)
-            main(argv + ["table"])  # the CSV
+            assert main(argv + ["table"]) == code  # the CSV
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 66
             assert lines == ["shift,beta,gamma"] + [
                 f"{r['shift']!r},{r['beta']!r},{r['gamma']!r}"
                 for r in doc["rows"]] + [
-                f"# mean_beta={doc['mean_beta']!r} bound={doc['beta_bound']!r} "
-                f"pass={verdict}"]
+                f"# mean_beta={doc['mean_beta']!r} "
+                f"exact_mean_beta={doc['exact_mean_beta']!r} "
+                f"bound={doc['beta_bound']!r} pass={verdict} err={doc['err']!r}"]
+
+    @pytest.mark.parametrize("gen, k, samples", [
+        (["--kind", "circle", "--resolution", "256"], 2, 64),
+        (["--kind", "regular_polygon", "--params", "m=8"], 2, 2),
+    ], ids=["circle-256", "octagon"])
+    def test_judges_the_exact_shift_average(self, gen, k, samples, tmp_path,
+                                           capsys):
+        # the grid means are 8.0e-6 and 8.3e-3 over the bound; the exact
+        # averages 1/k + average_chord(1/k) are below it
+        path = str(tmp_path / "c.json")
+        assert main(["gen"] + gen + ["--out", path]) == 0
+        assert main(["sweep", path, "--k", str(k), "--samples", str(samples),
+                     "--render", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        curve = load_curve(path)
+        assert doc["mean_beta"] > doc["beta_bound"]
+        assert doc["exact_mean_beta"] == 1 / k + chords.average_chord(curve, 1 / k)
+        assert doc["exact_mean_beta"] <= doc["beta_bound"]
+        assert doc["mean_beta_within_bound"] is True
+
+    def test_k1_exact_mean_is_one(self, circle_file, capsys):
+        assert main(["sweep", circle_file, "--k", "1", "--samples", "4",
+                     "--render", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact_mean_beta"] == 1.0
 
     def test_min_gamma_sample(self, square_file, capsys):
         assert main(["sweep", square_file, "--k", "4", "--samples", "1024",
@@ -193,7 +236,7 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         res = doc["results"][0]
         assert res["pass"] is True
-        assert res["near_equality"] is True
+        assert "near_equality" not in res
         assert res["slack"] < 1e-4
 
     def test_square_strict(self, square_file, capsys):
@@ -221,24 +264,43 @@ class TestVerify:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"FAIL: {check} at s=0.25 ")
-        assert err[0].endswith(" by 0.001")
+        slack = chords._verdict(load_curve(square_file), bound + 1e-3, bound)[1]
+        assert err[0].endswith(f" by 0.001 (err {slack:.3g})")
 
     def test_csv_lines(self, square_file, monkeypatch, capsys):
         monkeypatch.setattr(chords, "average_chord", lambda curve, s: 0.1)
         assert main(["verify", square_file, "--s", "0.05", "0.25",
                      "--render", "csv"]) == 1
         lines = capsys.readouterr().out.splitlines()
+        square = load_curve(square_file)
         b05, b25 = (math.sin(math.pi * s) / math.pi for s in (0.05, 0.25))
-        assert lines == ["s,average_chord,bound,slack,pass",
-                         f"0.05,0.1,{b05!r},{b05 - 0.1!r},False",
-                         f"0.25,0.1,{b25!r},{b25 - 0.1!r},True"]
+        e05, e25 = (chords._verdict(square, 0.1, b)[1] for b in (b05, b25))
+        assert lines == ["s,average_chord,bound,slack,pass,err",
+                         f"0.05,0.1,{b05!r},{b05 - 0.1!r},False,{e05!r}",
+                         f"0.25,0.1,{b25!r},{b25 - 0.1!r},True,{e25!r}"]
 
-    def test_tol_sets_the_slack(self, square_file, monkeypatch):
-        bound = math.sin(math.pi * 0.25) / math.pi
-        monkeypatch.setattr(chords, "min_chord_start",
-                            lambda curve, s: (0.125, bound + 1e-3))
-        assert main(["verify", square_file, "--s", "0.25"]) == 1
-        assert main(["verify", square_file, "--s", "0.25", "--tol", "1e-2"]) == 0
+    def test_readme_circle_errs(self, circle_file, capsys):
+        # every verdict of the README commands on the 4,096-vertex circle:
+        # err at most 1e-11, below its margin (the smallest is 4.9e-9)
+        margins = []
+        for argv in (["verify", "--s", "0.05", "0.25", "0.5"],
+                     ["partition", "--k", "4", "--mode", "uniform", "--shift", "0"],
+                     ["partition", "--k", "5", "--mode", "optimized"],
+                     ["partition", "--k", "13", "--mode", "best"],
+                     ["sweep", "--k", "3", "--samples", "1024"]):
+            assert main(argv[:1] + [circle_file] + argv[1:] + ["--render", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            if argv[0] == "verify":
+                margins += [(r["slack"], r["err"]) for r in doc["results"]]
+                margins += [(r["bound"] - r["min_chord"]["chord"], r["min_chord"]["err"])
+                            for r in doc["results"]]
+            elif argv[0] == "partition":
+                margins.append((doc["bound"] - doc["gamma"], doc["err"]))
+            else:
+                margins.append((doc["beta_bound"] - doc["exact_mean_beta"], doc["err"]))
+        assert len(margins) == 10
+        assert all(err <= 1e-11 and err < margin for margin, err in margins)
+        assert min(m for m, _ in margins) > 4.8e-9
 
     def test_readme_example(self, circle_file, capsys):
         # `curvecover verify circle.json --s 0.05 0.25 0.5` from the README
@@ -293,10 +355,12 @@ class TestReportPath:
         argv = [a.format(square=square_file) for a in argv]
         assert main(argv + ["--render", "json"]) == 1
         captured = capsys.readouterr()
-        json.loads(captured.out)  # the report is still written in full
+        doc = json.loads(captured.out)  # the report is still written in full
+        value = doc["gamma" if argv[0] == "partition" else "exact_mean_beta"]
         err = captured.err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(line) and err[0].endswith(" 0.1")
+        assert err[0].startswith(line) and f" is {value!r}, above " in err[0]
+        assert err[0].endswith(f" 0.1 by {value - 0.1:.3g} (err {doc['err']:.3g})")
 
     @pytest.mark.parametrize("argv, flag", [
         (["bounds", "--kmax", "3", "--tol", "1e-3"], "--tol"),
@@ -304,6 +368,9 @@ class TestReportPath:
         (["gen", "--kind", "circle", "--out", "{out}", "--render", "json"],
          "--render"),
         (["gen", "--kind", "circle"], "--out"),
+        (["partition", "{out}", "--k", "3", "--tol", "1e-3"], "--tol"),
+        (["sweep", "{out}", "--k", "3", "--tol", "1e-3"], "--tol"),
+        (["verify", "{out}", "--s", "0.25", "--tol", "1e-3"], "--tol"),
     ])
     def test_unread_flags_rejected(self, argv, flag, tmp_path, monkeypatch,
                                    capsys):
@@ -392,11 +459,9 @@ class TestOneParser:
     def test_flags_do_not_leak_between_calls(self, circle_file, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "cmd_partition", lambda args: seen.append(args))
-        main(["partition", circle_file, "--k", "4", "--shift", "0.1",
-              "--tol", "1e-3"])
+        main(["partition", circle_file, "--k", "4", "--shift", "0.1"])
         main(["partition", circle_file, "--k", "4"])
-        assert (seen[0].shift, seen[0].tol) == (0.1, 1e-3)
-        assert (seen[1].shift, seen[1].tol) == (None, 1e-6)
+        assert (seen[0].shift, seen[1].shift) == (0.1, None)
         assert vars(seen[1]) == vars(cli.build_parser().parse_args(
             ["partition", circle_file, "--k", "4"]))
 
@@ -417,27 +482,6 @@ class TestOneParser:
                             lambda args: ({"table": ["patched"]}, []))
         assert main(["bounds", "--kmax", "2"]) == 0
         assert capsys.readouterr().out.endswith("patched\n")
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    @pytest.mark.parametrize("argv", [
-        ["partition", "{circle}", "--k", "4"],
-        ["sweep", "{circle}", "--k", "3", "--samples", "4"],
-        ["verify", "{circle}", "--s", "0.25"],
-    ], ids=["partition", "sweep", "verify"])
-    def test_non_finite_tol_rejected(self, argv, tol, circle_file, capsys):
-        # nan failed every verdict with a negative excess; inf passed any cover
-        argv = [a.format(circle=circle_file) for a in argv]
-        assert main(argv + ["--tol", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: --tol must be finite, got {tol}"]
-
-    def test_negative_tol_demands_a_margin(self, circle_file):
-        # gamma is 0.475 against the bound 0.5
-        for tol in ("--tol=-0.02", "--tol=-2e-2"):
-            assert main(["partition", circle_file, "--k", "4", tol]) == 0
-        for tol in ("--tol=-0.03", "--tol=-3e-2"):
-            assert main(["partition", circle_file, "--k", "4", tol]) == 1
 
 
 class TestDeterminism:

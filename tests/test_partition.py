@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvecover import (Arc, Cover, beta_extremal, best_uniform_shift, build_curve,
-                        chord_length, cover_metrics, cover_report,
-                        gamma_upper_refined, golden_section, optimized_partition,
-                        solve_sk, theorem2_partition, uniform_partition)
+from curvecover import (Arc, Cover, CurveSpec, beta_extremal, best_uniform_shift,
+                        build_curve, chord_length, cover_metrics, cover_report,
+                        gamma_upper_refined, gamma_upper_simple, generate,
+                        golden_section, optimized_partition, solve_sk,
+                        theorem2_partition, uniform_partition)
 from curvecover.chords import _affine_at, _vertex_form
 from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
                                NotNormalized, OutOfRange)
@@ -274,3 +275,33 @@ def test_cover_report_payload(circle):
     assert {"t_start", "length_frac", "piece_length"} <= report["pieces"][0].keys()
     assert report["bound_satisfied"] is True
     assert report["gamma"] <= report["bound"]
+
+
+def _scan_curves():
+    """Regular 3- to 64-gons, four rectangles and eight random polylines with
+    n from 8 to 256 and d from 2 to 6: coarse curves whose covers reach their
+    bounds exactly, as pieces lying on straight sides do."""
+    specs = [CurveSpec("regular_polygon", {"m": m}) for m in range(3, 65)]
+    specs += [CurveSpec("rectangle", {"aspect": a}) for a in (1.0, 2.5, 7.0, 20.0)]
+    specs += [CurveSpec("random_closed", {"n": n, "seed": 100 + i}, dim=d)
+              for i, (n, d) in enumerate([(8, 2), (13, 3), (32, 4), (64, 5),
+                                          (100, 6), (256, 2), (200, 3), (17, 6)])]
+    return [generate(spec) for spec in specs]
+
+
+def test_covers_at_equality_pass():
+    # gamma - bound reaches 8.25 u bound (u = 2^-53), on the heptagon's best
+    # cover at k = 11; every cover must pass, within its err
+    worst = 0.0
+    for curve in _scan_curves():
+        for k in range(3, 13):
+            shift, best = best_uniform_shift(curve, k)
+            for cover, bound, shift_or_s in (
+                    (theorem2_partition(curve, k), gamma_upper_refined(k), 0.0),
+                    (optimized_partition(curve, k), *solve_sk(k)[::-1]),
+                    (best, gamma_upper_simple(k), shift)):
+                report = cover_report(curve, cover, bound, shift_or_s)
+                assert report["bound_satisfied"] is True, (curve.n, k, cover.construction)
+                assert report["gamma"] - bound <= report["err"]
+                worst = max(worst, (report["gamma"] - bound) / (2.0**-53 * bound))
+    assert worst > 4.0  # the scan does reach past the bound's last bits
