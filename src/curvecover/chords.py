@@ -3,10 +3,10 @@
 The central quantity is the mean length of the chord spanned by an arc
 of length s, averaged over all starting points of a unit-length closed
 curve.  One cell kernel serves every chord computation: ``_cells`` cuts
-[0, 1) where t or t+s crosses a vertex, and on each cell [t0, t1] the
-chord is ||a + b (t - t0)||, with a formed at the cell start.
-``average_chord`` integrates it in closed form, ``min_chord_start``
-minimizes it, and ``best_uniform_shift`` reads it, each as it is.
+[0, 1) where t or t+s crosses a vertex, and hands every per-s reader the
+chord ||a + b (t - t0)|| on each cell [t0, t1] (a formed at t0) in vertex
+form.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it,
+and ``verify`` gets both from one pass; ``best_uniform_shift`` forms its own.
 """
 
 import math
@@ -70,11 +70,12 @@ def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):
 
 def _cells(curve: ClosedCurve, s: float):
     """Sorted cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex,
-    and (a, b) with r(t+s) - r(t) = a + b (t - t0) on each: (t0, t1, a, b)."""
+    with r(t+s) - r(t) = a + b (t - t0) on each in the vertex form that every
+    per-s reader reads as it is: (t0, t1, A, h, q2)."""
     u = curve.params[:-1]
     brk = np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
     t0, t1 = brk[:-1], brk[1:]
-    return (t0, t1) + _affine_at(curve, s, t0, t1)
+    return (t0, t1) + _vertex_form(*_affine_at(curve, s, t0, t1))
 
 
 def _ratio(num, den, empty=0.0):
@@ -94,16 +95,15 @@ def _vertex_form(a, b):
     return A, h, np.einsum("...d,...d->...", q, q)
 
 
-def _norm_affine_integral(a, b, T):
-    """Vectorized closed form of the integral of ||a + b t|| over [0, T].
+def _norm_affine_integral(A, h, q2, T):
+    """Vectorized integral of ||a + b t|| over [0, T] from the vertex form of ``_cells``.
 
-    With beta = |b|, the chord rho = sqrt(p^2 + q^2) has the component
-    p(t) = p0 + beta t along b and q across it.  Reflected so that
+    With beta = |b| = sqrt(A), the chord rho = sqrt(p^2 + q^2) has the
+    component p(t) = p0 + beta t along b and q across it.  Reflected so that
     p0 + p1 >= 0, the integral is 1/2 [T (p0 (p0 + p1)/(rho0 + rho1) + rho1)
     + q^2 log1p(beta T x)/beta], x = (1 + (p0 + p1)/(rho0 + rho1))/(p0 + rho0):
     no sum cancels, and beta = 0 takes the limit T x.
     """
-    A, h, q2 = _vertex_form(a, b)
     beta = np.sqrt(A)
     bT = beta * T
     p0 = h * beta
@@ -129,9 +129,9 @@ def average_chord(curve: ClosedCurve, s: float,
         raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
     if s == 0.0:
         return 0.0
-    t0, t1, a, b = _cells(curve, s)
+    t0, t1, *form = _cells(curve, s)
     if cfg.mode == "exact-piecewise":
-        return float(np.sum(_norm_affine_integral(a, b, t1 - t0)))
+        return float(np.sum(_norm_affine_integral(*form, t1 - t0)))
     # sampled: composite midpoint on the same cells, each first split into
     # equal parts of at most 1/64 with np.linspace's edges, so the rule stays
     # within 1e-6 of the closed form (coarse polygons)
@@ -173,21 +173,30 @@ def golden_section(f, a, b):
 def min_chord_start(curve: ClosedCurve, s: float):
     """Start parameter minimizing the chord spanned by an arc of length s.
 
-    Exact: on each breakpoint cell [t0, t1] the chord is ||a + b (t - t0)||,
-    so its minimum is at t0 + clip(-a.b / |b|^2, 0, t1 - t0), or at t0
-    where b = 0; it never exceeds the average chord.  Ties: the smallest t
-    whose cell minimum is within a relative ``MIN_TIE_RTOL`` of the
-    global minimum wins.  Returns (t_star, chord).
+    Exact: on each cell [t0, t1] of ``_cells`` the squared chord is
+    A (t - t0 + h)^2 + q2, least at t0 + clip(-h, 0, t1 - t0), never above
+    the average chord.  Ties go to the smallest t with a cell minimum within
+    a relative ``MIN_TIE_RTOL`` of the global one.  Returns (t_star, chord).
     """
     _require_unit(curve)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    t0, t1, a, b = _cells(curve, s)
-    A, h, q2 = _vertex_form(a, b)
+    return _least_chord(*_cells(curve, s))
+
+
+def _least_chord(t0, t1, A, h, q2):  # min_chord_start on the cells of _cells
     tau = np.clip(-h, 0.0, t1 - t0)
     chords = np.sqrt(A * np.square(tau + h) + q2)
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
     return float(t0[i] + tau[i]) % 1.0, float(chords[i])
+
+
+def _both_chords(curve: ClosedCurve, s: float):
+    """(average_chord, *min_chord_start) at s from one pass of ``_cells``."""
+    if not (0.0 < s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
+        return average_chord(curve, s), None, None  # 0.0, or average_chord's error
+    t0, t1, *form = cells = _cells(curve, s)
+    return float(np.sum(_norm_affine_integral(*form, t1 - t0))), *_least_chord(*cells)
 
 
 def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):

@@ -108,6 +108,8 @@ def cmd_partition(args):
         raise BadFlag("--k must be >= 1")
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
+    if not math.isfinite(args.shift or 0.0):
+        raise BadFlag(f"--shift must be a finite number, got {args.shift!r}")
     curve, notes = _load_normalized(args.curve)
     k = args.k
     if args.mode == "uniform":
@@ -168,14 +170,13 @@ def cmd_verify(args):
     curve, notes = _load_normalized(args.curve)
     results, fails = [], []
     for s in args.s:
-        value = chords.average_chord(curve, s)
+        value, t_star, chord = chords._both_chords(curve, s)
         bound = math.sin(math.pi * s) / math.pi
         ok, err = chords._verdict(curve, value, bound)
         entry = {"s": s, "average_chord": value, "bound": bound,
                  "slack": bound - value, "pass": ok, "err": err}
         checked = [("average_chord", value, ok, err)]
         if s > 0.0:
-            t_star, chord = chords.min_chord_start(curve, s)
             ok, err = chords._verdict(curve, chord, bound)
             entry["min_chord"] = {"t_star": t_star, "chord": chord,
                                   "below_bound": ok, "err": err}
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
             curveio._write_text(args.out, text)
         else:
             sys.stdout.write(text)
-    except CurveCoverError as e:
+    except (CurveCoverError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     for line in fails:

@@ -12,7 +12,7 @@ from curvecover import (CurveSpec, QuadratureConfig, average_chord,
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, min_chord_start, optimized_partition,
                         solve_sk, theorem2_partition)
-from curvecover.chords import _cells, _norm_affine_integral, _verdict
+from curvecover.chords import _cells, _norm_affine_integral, _verdict, _vertex_form
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
 SAMPLED = QuadratureConfig("sampled")
@@ -306,7 +306,7 @@ def test_norm_affine_integral_matches_mpmath():
     # asinh antiderivative difference G(u1) - G(u0) cancels to 7e-7 relative
     for a, b, T in _kernel_cells():
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        got = _norm_affine_integral(a[None], b[None], np.array([T]))[0]
+        got = _norm_affine_integral(*_vertex_form(a[None], b[None]), np.array([T]))[0]
         want = _mp_integral(a, b, T)
         assert abs(got - want) <= 1e-14 * want, (a, b, T)
 
@@ -340,7 +340,7 @@ def test_tiny_s_relabelling_invariance(s):
 
 def _sampled_reference(curve, s):
     """The 64-sample rule with each cell split by its own np.linspace call."""
-    t0, t1, _, _ = _cells(curve, s)
+    t0, t1, _, _, _ = _cells(curve, s)
     pieces = []
     for p, q in zip(t0, t1):
         parts = max(1, math.ceil((q - p) * 64.0))

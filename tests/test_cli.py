@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,29 @@ class TestPartition:
 
     def test_missing_file(self, tmp_path):
         assert main(["partition", str(tmp_path / "no.json"), "--k", "3"]) == 2
+
+    @pytest.mark.parametrize("shift", ["inf", "-inf", "nan"])
+    def test_non_finite_shift(self, shift, tmp_path, capsys):
+        # rejected before the curve is read (there is none), with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["partition", str(tmp_path / "no.json"), "--k", "3",
+                         f"--shift={shift}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --shift must be a finite number, got {shift}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{circle}", "--k", "3", "--samples", "1000000000000000"],
+        ["partition", "{circle}", "--k", "10000000000000000"],
+    ])
+    def test_unallocatable_size(self, argv, circle_file, capsys):
+        # numpy refuses these sizes before allocating anything
+        assert main([a.format(circle=circle_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
 
     @pytest.mark.parametrize("params, k, mode", [
         (["m=7"], 11, "best"), (["m=4"], 12, "optimized"), (["m=8"], 12, "best"),
@@ -254,12 +278,15 @@ class TestVerify:
     def test_failure_names_the_check(self, check, square_file, monkeypatch,
                                      capsys):
         bound = math.sin(math.pi * 0.25) / math.pi
-        if check == "average_chord":
-            monkeypatch.setattr(chords, "average_chord",
-                                lambda curve, s: bound + 1e-3)
-        else:
-            monkeypatch.setattr(chords, "min_chord_start",
-                                lambda curve, s: (0.125, bound + 1e-3))
+        both = chords._both_chords
+
+        def raised(curve, s):  # one of verify's two chords set above the bound
+            value, t_star, chord = both(curve, s)
+            if check == "average_chord":
+                return bound + 1e-3, t_star, chord
+            return value, t_star, bound + 1e-3
+
+        monkeypatch.setattr(chords, "_both_chords", raised)
         assert main(["verify", square_file, "--s", "0.25"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -268,7 +295,9 @@ class TestVerify:
         assert err[0].endswith(f" by 0.001 (err {slack:.3g})")
 
     def test_csv_lines(self, square_file, monkeypatch, capsys):
-        monkeypatch.setattr(chords, "average_chord", lambda curve, s: 0.1)
+        both = chords._both_chords
+        monkeypatch.setattr(chords, "_both_chords",
+                            lambda curve, s: (0.1,) + both(curve, s)[1:])
         assert main(["verify", square_file, "--s", "0.05", "0.25",
                      "--render", "csv"]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -301,6 +330,31 @@ class TestVerify:
         assert len(margins) == 10
         assert all(err <= 1e-11 and err < margin for margin, err in margins)
         assert min(m for m, _ in margins) > 4.8e-9
+
+    def test_one_cell_pass_per_s(self, circle_file, monkeypatch, capsys):
+        # both chords of each s > 0 come from one _cells call; s = 0 needs none
+        calls = []
+        cells = chords._cells
+        monkeypatch.setattr(chords, "_cells",
+                            lambda curve, s: calls.append(s) or cells(curve, s))
+        assert main(["verify", circle_file, "--s", "0", "0.05", "0.25", "0",
+                     "0.5"]) == 0
+        assert calls == [0.05, 0.25, 0.5]
+
+    def test_chords_equal_the_library(self, corpus, random4k, tmp_path, capsys):
+        s_values = [0.01, 0.05, 0.25, 0.5]
+        for name, curve in {**corpus, "random4k": random4k}.items():
+            path = tmp_path / f"{name}.json"
+            save_curve(curve, path)
+            main(["verify", str(path), "--s"] + [repr(s) for s in s_values]
+                 + ["--render", "json"])
+            results = json.loads(capsys.readouterr().out)["results"]
+            loaded = cli._load_normalized(path)[0]
+            for s, r in zip(s_values, results, strict=True):
+                assert r["average_chord"] == chords.average_chord(loaded, s), (name, s)
+                t_star, chord = chords.min_chord_start(loaded, s)
+                assert r["min_chord"]["t_star"] == t_star, (name, s)
+                assert r["min_chord"]["chord"] == chord, (name, s)
 
     def test_readme_example(self, circle_file, capsys):
         # `curvecover verify circle.json --s 0.05 0.25 0.5` from the README
