@@ -95,8 +95,9 @@ def idle_time_lower(speeds) -> float:
     speeds = list(speeds)
     if not speeds:
         raise EmptyInput("need at least one speed")
-    if any(v <= 0 for v in speeds):
-        raise NonPositiveSpeed("all speeds must be > 0")
+    bad = [v for v in speeds if not 0 < v < math.inf]  # NaN fails too
+    if bad:
+        raise NonPositiveSpeed(f"every speed must be > 0 and finite, got {bad[0]!r}")
     return 1.0 / sum(speeds)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import chords, curveio, generators, partition as part
-from .curve import _assemble
+from .curve import _piece_lengths, build_curve
 from .errors import BadFlag, CurveCoverError
 
 
@@ -38,8 +38,20 @@ def _load_normalized(path):
     if curve.is_unit_length:
         return curve, []
     note = f"input curve length {curve.length:.12g} != 1; auto-normalized"
-    # same merged vertices, so equal to load_curve(path, normalize=True)
-    return _assemble(curve.vertices, normalize=True), [note]
+    # merging drops no vertex again: equal to load_curve(path, normalize=True)
+    return build_curve(curve.vertices, normalize=True), [note]
+
+
+# the most float64s one numpy array can hold: numpy raises ValueError, not
+# MemoryError, above it
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _check_count(flag, n, least=1):
+    if n < least:
+        raise BadFlag(f"{flag} must be >= {least}")
+    if n > _MAX_COUNT:
+        raise BadFlag(f"{flag} must be <= {_MAX_COUNT}, got {n}")
 
 
 def _fail(check, value, bound_name, bound, err):
@@ -104,8 +116,7 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
-    if args.k < 1:
-        raise BadFlag("--k must be >= 1")
+    _check_count("--k", args.k)
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
     if not math.isfinite(args.shift or 0.0):
@@ -138,16 +149,15 @@ def cmd_partition(args):
 
 
 def cmd_sweep(args):
-    if args.samples < 2:
-        raise BadFlag("--samples must be >= 2")
-    if args.k < 1:
-        raise BadFlag("--k must be >= 1")
+    _check_count("--samples", args.samples, 2)
+    _check_count("--k", args.k)
+    _check_count("--samples times --k", args.samples * args.k)
     curve, notes = _load_normalized(args.curve)
     k = args.k
     # row j is the uniform cover with shift j / (k samples)
     shifts = np.arange(args.samples) / (k * args.samples)
     starts = np.mod(shifts[:, None] + np.arange(k) / k, 1.0)
-    lengths = part._piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
+    lengths = _piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
     betas = lengths.sum(axis=1) / (k * curve.length)
     gammas = lengths.max(axis=1) / curve.length
     rows = [{"shift": a, "beta": b, "gamma": g} for a, b, g in

@@ -58,40 +58,29 @@ class ClosedCurve:
         return abs(self.length - 1.0) <= 1e-9
 
 
-def _unit(arr: np.ndarray):
-    """(arr / 2^e, e), 2^e the power of two above the largest |coordinate|:
-    exact where not subnormal, and no square of an edge length of it over- or
-    underflows, unless the edge is below about 1e-154 times that coordinate."""
-    e = math.frexp(max(arr.max(), -arr.min()))[1]
-    return np.ldexp(arr, -e), e
-
-
-def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
-    """Drop each vertex closer than MERGE_TOL times the bounding-box diagonal
-    to the last vertex kept.
+def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Keep mask dropping each vertex closer than MERGE_TOL times the
+    bounding-box diagonal to the last vertex kept, given the vertices over a
+    power of two and their edge lengths, the closing edge last.
 
     The comparison is sequential: after a vertex is dropped, the next one
     is compared with the last vertex kept, not with its predecessor.  A
     vertex whose predecessor was kept is decided by its edge length, so
-    batched edge lengths decide every vertex except those after a short
+    the batched edge lengths decide every vertex except those after a short
     edge, and only those are walked in Python.  Short edges are found
     with a relative margin and each walked vertex is decided by the same
     scalar norm throughout, so the result does not depend on how the
-    batched sum rounds.  Lengths are measured on ``_unit(pts)``, and batched
-    edges also over the diagonal, so the short-edge test is scale-free.
+    batched sum rounds.
     """
-    unit = _unit(pts)[0]
     diag = np.hypot.reduce([np.ptp(c) for c in unit.T])  # columns: faster than axis=0
     tol = MERGE_TOL * diag
-    edges = np.diff(unit, axis=0) / (diag or 1.0)
-    near = np.einsum("ij,ij->i", edges, edges) < (MERGE_TOL * (1.0 + 1e-9)) ** 2
-    keep = np.ones(len(pts), dtype=bool)
+    keep = np.ones(len(unit), dtype=bool)
     walked = 0  # vertices up to here are decided
-    for i in (np.flatnonzero(near) + 1).tolist():
+    for i in (np.flatnonzero(seg[:-1] < tol * (1.0 + 1e-9)) + 1).tolist():
         if i <= walked:
             continue
         last = i - 1
-        while i < len(pts) and np.linalg.norm(unit[i] - unit[last]) < tol:
+        while i < len(unit) and np.linalg.norm(unit[i] - unit[last]) < tol:
             keep[i] = False
             i += 1
         walked = i
@@ -99,28 +88,7 @@ def _merge_duplicates(pts: np.ndarray) -> np.ndarray:
     last = int(np.flatnonzero(keep)[-1])
     if last > 0 and np.linalg.norm(unit[last] - unit[0]) < tol:
         keep[last] = False
-    return pts if keep.all() else pts[keep]
-
-
-def _assemble(arr: np.ndarray, normalize: bool) -> ClosedCurve:
-    """Curve on the merged, validated vertex array ``arr`` (kept, not copied)."""
-    unit, e = _unit(arr)  # lengths are scaled back by 2^e, also exactly
-    edges = np.roll(unit, -1, axis=0) - unit
-    seg = np.linalg.norm(edges, axis=1)
-    total = float(seg.sum())
-    if total <= 0.0:
-        raise DegenerateCurve("zero total length")
-    if math.frexp(total)[1] + e > 1024:  # total * 2^e, the length, overflows
-        raise DegenerateCurve("total length is not finite (inf)")
-    if normalize:
-        arr = arr / math.ldexp(total, e)
-        edges = edges / total
-        seg = seg / total
-        total, e = float(seg.sum()), 0
-
-    cum = np.ldexp(np.concatenate(([0.0], np.cumsum(seg))), e)
-    tangents = edges / seg[:, None]
-    return ClosedCurve(arr, cum, math.ldexp(total, e), tangents)
+    return keep
 
 
 def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
@@ -158,10 +126,34 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         raise DimensionMismatch(f"dimension must be >= 2, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")
-    arr = _merge_duplicates(arr)
+    # Edges are measured on the vertices over 2^e > max |coordinate|: exact
+    # away from subnormals, and no square of an edge over- or underflows
+    # unless the edge is below about 1e-154 times that coordinate.
+    e = math.frexp(max(arr.max(), -arr.min()))[1]
+    unit = np.ldexp(arr, -e)
+    edges = np.roll(unit, -1, axis=0) - unit
+    seg = np.linalg.norm(edges, axis=1)
+    keep = _merge_duplicates(unit, seg)
+    if not keep.all():  # measure the kept rows again, over the same 2^e
+        arr, unit = arr[keep], unit[keep]
+        edges = np.roll(unit, -1, axis=0) - unit
+        seg = np.linalg.norm(edges, axis=1)
     if arr.shape[0] < 3:
         raise DegenerateCurve("need at least 3 distinct vertices")
-    return _assemble(arr, normalize)
+    total = float(seg.sum())
+    if total <= 0.0:
+        raise DegenerateCurve("zero total length")
+    if math.frexp(total)[1] + e > 1024:  # total * 2^e, the length, overflows
+        raise DegenerateCurve("total length is not finite (inf)")
+    if normalize:
+        arr = arr / math.ldexp(total, e)
+        edges = edges / total
+        seg = seg / total
+        total, e = float(seg.sum()), 0
+
+    cum = np.ldexp(np.concatenate(([0.0], np.cumsum(seg))), e)
+    tangents = edges / seg[:, None]
+    return ClosedCurve(arr, cum, math.ldexp(total, e), tangents)
 
 
 @dataclass(frozen=True)
@@ -198,13 +190,16 @@ def chord_length(curve: ClosedCurve, t, s):
     return np.linalg.norm(b - a, axis=-1)
 
 
+def _piece_lengths(curve: ClosedCurve, starts, fracs) -> np.ndarray:
+    """``cover_piece_length`` of each arc (starts, fracs), as an array."""
+    chords = np.where(fracs >= 1.0, 0.0, chord_length(curve, starts, fracs))
+    return fracs * curve.length + chords
+
+
 def cover_piece_length(curve: ClosedCurve, arc: Arc) -> float:
     """Length of the closed curve formed by an arc plus its endpoint chord.
 
     A full arc (length_frac == 1) closes on itself and contributes no
     chord.
     """
-    arc_len = arc.length_frac * curve.length
-    if arc.length_frac >= 1.0:
-        return arc_len
-    return arc_len + float(chord_length(curve, arc.t_start, arc.length_frac))
+    return float(_piece_lengths(curve, arc.t_start, arc.length_frac))

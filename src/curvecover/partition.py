@@ -22,7 +22,8 @@ import numpy as np
 from . import bounds
 from .chords import (_affine_at, _require_unit, _verdict, _vertex_form,
                      golden_section, min_chord_start)
-from .curve import Arc, ClosedCurve, chord_length
+# chord_length unused: perfbench/selftest.py checks its tracer binding here
+from .curve import Arc, ClosedCurve, _piece_lengths, chord_length  # noqa: F401
 from .errors import KTooSmall, NotAPartition, OutOfRange
 
 PARTITION_TOL = 1e-9
@@ -42,14 +43,6 @@ class CoverMetrics:
     beta: float
     gamma: float
     argmax_piece: int
-
-
-def _piece_lengths(curve: ClosedCurve, starts, fracs) -> np.ndarray:
-    starts = np.asarray(starts, dtype=float)
-    fracs = np.asarray(fracs, dtype=float)
-    chords = np.where(fracs >= 1.0, 0.0,
-                      np.asarray(chord_length(curve, starts, fracs)))
-    return fracs * curve.length + chords
 
 
 def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:

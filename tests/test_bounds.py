@@ -131,6 +131,11 @@ class TestIdleTime:
         with pytest.raises(NonPositiveSpeed):
             idle_time_lower([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_speed(self, bad):
+        with pytest.raises(NonPositiveSpeed, match=f"got {bad!r}$"):
+            idle_time_lower([1.0, bad, 2.0])
+
 
 class TestTable1:
     def test_lower_row(self):

@@ -111,6 +111,22 @@ class TestPartition:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["partition", "{circle}", "--k", str(2**60)], "--k must be <= "),
+        (["sweep", "{circle}", "--k", "3", "--samples", str(2**62)],
+         "--samples must be <= "),
+        (["sweep", "{circle}", "--k", str(2**30), "--samples", str(2**40)],
+         f"--samples times --k must be <= {2**60 - 1}, got {2**70}"),
+    ])
+    def test_count_numpy_cannot_index(self, argv, message, circle_file, capsys):
+        # numpy cannot index arrays this large (ValueError, not MemoryError):
+        # the counts, and sweep's grid, are rejected before any array is built
+        assert main([a.format(circle=circle_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message)
+
     @pytest.mark.parametrize("params, k, mode", [
         (["m=7"], 11, "best"), (["m=4"], 12, "optimized"), (["m=8"], 12, "best"),
     ], ids=["heptagon-best", "square-optimized", "octagon-best"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvecover import (Arc, build_curve, chord_length, cover_piece_length,
@@ -161,6 +161,10 @@ def polylines_with_near_duplicates(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pts=polylines_with_near_duplicates(), normalize=st.booleans())
+# the dropped vertex holds the only coordinate at 2^0: the full array is
+# measured over 2^1, the kept rows over 2^0
+@example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=False)
+@example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=True)
 def test_merge_matches_sequential_reference(pts, normalize):
     expect = _sequential_build(pts, normalize)
     if expect is None:
