@@ -41,15 +41,17 @@ def solve_sk(k: int):
     """Root s_k in (0, 1/2) of s + sin(pi s)/pi = 2(1-s)/(k-1), by bisection.
 
     The left side minus the right is increasing, -2/(k-1) at s = 0 and at
-    least 1/pi at s = 1/2, so the root is unique; bisects to width 1e-14.
-    Returns (s_k, bound = 2(1-s_k)/(k-1)), s_k the last bracket's left end,
-    where the difference is negative: s_k + sin(pi s_k)/pi <= bound.
+    least 1/pi at s = 1/2, so the root is unique; bisects until the bracket
+    is at most 1e-14 wide and at most 1e-10 of its left end, so the root
+    s_k ~ 1/k keeps its digits however large k is.  Returns
+    (s_k, bound = 2(1-s_k)/(k-1)), s_k the last bracket's left end, where
+    the difference is negative: s_k + sin(pi s_k)/pi <= bound.
     """
     if k < 3:
         raise KTooSmall("k must be >= 3")
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
     a, b = 0.0, 0.5
-    while b - a > 1e-14:
+    while b - a > 1e-14 or b - a > 1e-10 * a:
         m = 0.5 * (a + b)
         if f(m) < 0.0:
             a = m

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import ClosedCurve, chord_length
+from .curve import UNIT_LENGTH_TOL, ClosedCurve, chord_length
 from .errors import NotNormalized, OutOfRange
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,7 +44,7 @@ class QuadratureConfig:
 
 def _require_unit(curve: ClosedCurve):
     if not curve.is_unit_length:
-        raise NotNormalized(f"curve length {curve.length} is not 1 within 1e-9")
+        raise NotNormalized(f"curve length {curve.length} is not 1 within {UNIT_LENGTH_TOL}")
 
 
 def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):

@@ -27,19 +27,18 @@ import numpy as np
 
 from . import bounds as bnd
 from . import chords, curveio, generators, partition as part
-from .curve import _piece_lengths, build_curve
+from .curve import _piece_lengths
 from .errors import BadFlag, CurveCoverError
 
 
 def _load_normalized(path):
     """(curve, notes): the curve file scaled to unit length, with a note
     when it had to be."""
-    curve = curveio.load_curve(path)
-    if curve.is_unit_length:
+    curve = curveio.load_curve(path, normalize=True)
+    if curve.input_length == curve.length:  # unit length already: not rescaled
         return curve, []
-    note = f"input curve length {curve.length:.12g} != 1; auto-normalized"
-    # merging drops no vertex again: equal to load_curve(path, normalize=True)
-    return build_curve(curve.vertices, normalize=True), [note]
+    note = f"input curve length {curve.input_length:.12g} != 1; auto-normalized"
+    return curve, [note]
 
 
 # the most float64s one numpy array can hold: numpy raises ValueError, not

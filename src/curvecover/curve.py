@@ -16,6 +16,8 @@ from .errors import DegenerateCurve, DimensionMismatch, OutOfRange
 # Consecutive vertices closer than this times the bounding-box diagonal are
 # merged during construction.
 MERGE_TOL = 1e-12
+# A length within this of 1 is unit length: build_curve leaves it as built.
+UNIT_LENGTH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,11 +34,14 @@ class ClosedCurve:
         the total length L.
     length : float
         Total length L > 0.
+    input_length : float
+        L before any scaling to unit length; ``length`` if not rescaled.
     """
 
     vertices: np.ndarray
     cum_lengths: np.ndarray
     length: float
+    input_length: float
     # Unit tangent of each edge, precomputed for point queries.
     _tangents: np.ndarray = field(repr=False, default=None)
 
@@ -55,7 +60,7 @@ class ClosedCurve:
 
     @property
     def is_unit_length(self) -> bool:
-        return abs(self.length - 1.0) <= 1e-9
+        return abs(self.length - 1.0) <= UNIT_LENGTH_TOL
 
 
 def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -97,9 +102,10 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     The closing edge is implicit; a repeated first vertex at the end is
     dropped, as are exact or near duplicate consecutive vertices: closer
     than 1e-12 times the diagonal of the vertices' bounding box, so the
-    result does not depend on the units.  With ``normalize`` the
-    coordinates are scaled by 1/L so the result has unit length.  The
-    input is copied.
+    result does not depend on the units.  With ``normalize`` the result
+    has unit length: the coordinates are scaled by 1/L unless L is within
+    UNIT_LENGTH_TOL of 1, and then the curve comes back exactly as built.
+    ``input_length`` is L before any scaling.  The input is copied.
 
     Raises
     ------
@@ -145,15 +151,16 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         raise DegenerateCurve("zero total length")
     if math.frexp(total)[1] + e > 1024:  # total * 2^e, the length, overflows
         raise DegenerateCurve("total length is not finite (inf)")
-    if normalize:
-        arr = arr / math.ldexp(total, e)
+    input_length = math.ldexp(total, e)
+    if normalize and abs(input_length - 1.0) > UNIT_LENGTH_TOL:
+        arr = arr / input_length
         edges = edges / total
         seg = seg / total
         total, e = float(seg.sum()), 0
 
     cum = np.ldexp(np.concatenate(([0.0], np.cumsum(seg))), e)
     tangents = edges / seg[:, None]
-    return ClosedCurve(arr, cum, math.ldexp(total, e), tangents)
+    return ClosedCurve(arr, cum, math.ldexp(total, e), input_length, tangents)
 
 
 @dataclass(frozen=True)

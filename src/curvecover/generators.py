@@ -7,7 +7,7 @@ bit-identical vertices on every platform.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ PARAMS = {"circle": (), "ellipse": ("a", "b"), "rectangle": ("aspect",),
           "regular_polygon": ("m",), "random_closed": ("n", "seed"),
           "lissajous3d": ("freq_a", "freq_b")}
 KINDS = tuple(PARAMS)
-# the params that take integers; an integral float such as 4.0 is accepted
+# the params that take integers, as do resolution and dim; an integral float
+# such as 4.0 is accepted
 _INTEGER_PARAMS = ("m", "n", "seed", "freq_a", "freq_b")
 _MAX_COORDS = 2**25  # the most vertices x dim generate builds: 256 MiB of floats
 
@@ -90,10 +91,17 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     if unknown:
         raise BadSpec(f"{spec.kind} does not read params {unknown}; it reads "
                       f"{list(PARAMS[spec.kind]) or 'none'}")
-    for key, v in spec.params.items():
+    named = [(f"param {key!r}", v) for key, v in spec.params.items()
+             if key in _INTEGER_PARAMS]
+    named.append(("resolution", spec.resolution))
+    if spec.dim is not None:
+        named.append(("dim", spec.dim))
+    for name, v in named:
         whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-        if key in _INTEGER_PARAMS and (isinstance(v, bool) or not whole):
-            raise BadSpec(f"{spec.kind} param {key!r} must be an integer, got {v!r}")
+        if isinstance(v, bool) or not whole:
+            raise BadSpec(f"{spec.kind} {name} must be an integer, got {v!r}")
+    spec = replace(spec, resolution=int(spec.resolution),
+                   dim=None if spec.dim is None else int(spec.dim))
     count = {"rectangle": 4, "regular_polygon": spec.params.get("m", 3),
              "random_closed": spec.params.get("n", 0)}.get(spec.kind, spec.resolution)
     if count * (spec.dim or 3) > _MAX_COORDS:

@@ -75,6 +75,35 @@ class TestSolveSk:
                 assert long_arc <= bound, k
                 assert abs(long_arc - 2 * (1 - mpmath.mpf(s)) / (k - 1)) < 2e-14, k
 
+    @pytest.mark.parametrize("k", [10**6, 10**9, 10**12, 10**15, 2**60 - 1])
+    def test_large_k_matches_mpmath_root(self, k):
+        # s_k ~ 1/k: an absolute stopping width of 1e-14 lost it (0.0 at 10**15)
+        s, bound = solve_sk(k)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda x: x + mpmath.sin(mpmath.pi * x) / mpmath.pi
+                - 2 * (1 - x) / (k - 1), mpmath.mpf(1) / k)
+            assert abs(s - root) <= 1e-9 * root
+        assert s > 0.0
+        assert s + math.sin(math.pi * s) / math.pi <= bound
+
+    def test_small_k_unchanged(self):
+        # the relative stopping width binds only for k > 14,073: below that
+        # s_k is the float the absolute width of 1e-14 alone gives
+        def absolute_width(k):
+            f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
+            a, b = 0.0, 0.5
+            while b - a > 1e-14:
+                m = 0.5 * (a + b)
+                if f(m) < 0.0:
+                    a = m
+                else:
+                    b = m
+            return a, 2.0 * (1.0 - a) / (k - 1)
+
+        for k in range(3, 10_001):
+            assert solve_sk(k) == absolute_width(k), k
+
 
 class TestBkkTable:
     def test_small_values(self):

@@ -8,7 +8,8 @@ import pytest
 from curvecover import (bounds, chords, cover_metrics, cover_report, load_curve,
                         optimized_partition, save_curve, solve_sk,
                         uniform_partition)
-from curvecover import cli
+from curvecover import cli, curveio
+from curvecover import curve as curve_module
 from curvecover.cli import main
 
 
@@ -180,12 +181,38 @@ class TestLoadOnce:
 
         raw = load_curve(path)
         curve = load_curve(path, normalize=True)
+        assert curve.input_length == raw.length
         s_k, bound = solve_sk(5)
         expect = cover_report(curve, optimized_partition(curve, 5), bound, s_k)
         expect["command"] = "partition"
         expect["notes"] = [
             f"input curve length {raw.length:.12g} != 1; auto-normalized"]
         assert capsys.readouterr().out == json.dumps(expect, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("flag", [["--no-normalize"], []], ids=["raw", "unit"])
+    def test_one_build_per_command(self, flag, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "ellipse.json")
+        assert main(["gen", "--kind", "ellipse", "--resolution", "512", "--out", path]
+                    + flag) == 0
+        builds = []
+        build_curve = curve_module.build_curve
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build_curve(*args, **kwargs)
+
+        # every module that binds build_curve, so a build anywhere counts
+        for module in (curve_module, curveio, cli):
+            if hasattr(module, "build_curve"):
+                monkeypatch.setattr(module, "build_curve", counting)
+        for argv in (["partition", path, "--k", "5"],
+                     ["sweep", path, "--k", "3", "--samples", "8"],
+                     ["verify", path, "--s", "0.25"]):
+            builds.clear()
+            assert main(argv) == 0, argv
+            assert len(builds) == 1, argv
+        notes = json.loads(capsys.readouterr().out.splitlines()[-1])["notes"]
+        assert bool(notes) == bool(flag)
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from curvecover import (Arc, build_curve, chord_length, cover_piece_length,
                         point_at)
-from curvecover.curve import MERGE_TOL
+from curvecover.curve import MERGE_TOL, UNIT_LENGTH_TOL
 from curvecover.errors import DegenerateCurve, DimensionMismatch, OutOfRange
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -17,11 +17,13 @@ class TestBuildCurve:
     def test_normalized_square(self):
         c = build_curve(SQUARE, normalize=True)
         assert c.length == pytest.approx(1.0, abs=1e-12)
+        assert c.input_length == 4.0
         assert np.allclose(c.vertices[1] - c.vertices[0], [0.25, 0.0])
 
     def test_triangle_length(self):
         c = build_curve([(0, 0), (1, 0), (0, 1)])
         assert c.length == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
+        assert c.input_length == c.length
 
     # below about 1e-154 and above 1e154 a sum of squares under- or overflows
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-165, 1e-160, 1e-13,
@@ -88,6 +90,12 @@ class TestBuildCurve:
         with pytest.raises(DegenerateCurve, match="total length is not finite"):
             build_curve([[0, 0], [1e308, 0], [0, 1e308]])
 
+    def test_normalizing_a_unit_curve_keeps_it(self, corpus):
+        for name, c in corpus.items():
+            again = build_curve(c.vertices, normalize=True)
+            assert again.vertices.tobytes() == c.vertices.tobytes(), name
+            assert again.input_length == again.length, name
+
     def test_input_copied(self):
         pts = np.array(SQUARE)
         c = build_curve(pts)
@@ -105,7 +113,8 @@ def _sequential_build(vertices, normalize):
     """Reference: merge by comparing each vertex with the last one kept,
     one vertex at a time, then the arc-length arithmetic.  Lengths are
     measured on the vertices over a power of two, so no square under- or
-    overflows.  None if degenerate."""
+    overflows; normalizing divides only a length more than UNIT_LENGTH_TOL
+    from 1.  None if degenerate."""
     pts = np.asarray(vertices, dtype=float)
     unit = _over_power_of_two(pts)[0]
     tol = MERGE_TOL * np.hypot.reduce(unit.max(axis=0) - unit.min(axis=0))
@@ -123,7 +132,7 @@ def _sequential_build(vertices, normalize):
     total = float(seg.sum())
     if total <= 0.0:
         return None
-    if normalize:
+    if normalize and abs(total * scale - 1.0) > UNIT_LENGTH_TOL:
         arr, seg = arr / (total * scale), seg / total
         total, scale = float(seg.sum()), 1.0
     cum = np.concatenate(([0.0], np.cumsum(seg))) * scale
@@ -165,6 +174,8 @@ def polylines_with_near_duplicates(draw):
 # measured over 2^1, the kept rows over 2^0
 @example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=False)
 @example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=True)
+# length 1 + 2^-40, within UNIT_LENGTH_TOL of 1: normalizing leaves it as built
+@example(pts=np.array(SQUARE) * 0.25 * (1 + 2**-40), normalize=True)
 def test_merge_matches_sequential_reference(pts, normalize):
     expect = _sequential_build(pts, normalize)
     if expect is None:

@@ -79,6 +79,11 @@ class TestGenerate:
         CurveSpec("circle", resolution=2),
         CurveSpec("circle", dim=1),
         CurveSpec("lissajous3d", {"freq_a": 0}),
+        CurveSpec("circle", resolution=4.5),
+        CurveSpec("circle", resolution=True),
+        CurveSpec("circle", dim=2.5),
+        CurveSpec("circle", dim=True),
+        CurveSpec("random_closed", {"n": 8, "seed": 1}, dim=2.5),
     ])
     def test_bad_specs(self, spec):
         with pytest.raises(BadSpec):
@@ -113,13 +118,20 @@ class TestGenerate:
         with pytest.raises(BadSpec, match=re.escape(msg)):
             generate(CurveSpec(kind, params))
 
+    # "resolution" and "dim" are CurveSpec fields, the other keys params
     @pytest.mark.parametrize("kind, params", [
         ("regular_polygon", {"m": 4}), ("random_closed", {"n": 8, "seed": 1}),
-        ("lissajous3d", {"freq_a": 2, "freq_b": 5})])
+        ("lissajous3d", {"freq_a": 2, "freq_b": 5}), ("circle", {"resolution": 64}),
+        ("circle", {"dim": 3}), ("random_closed", {"n": 8, "seed": 1, "dim": 3})])
     def test_integral_floats_accepted(self, kind, params):
-        floats = {key: float(v) for key, v in params.items()}
-        assert (generate(CurveSpec(kind, floats)).vertices.tobytes()
-                == generate(CurveSpec(kind, params)).vertices.tobytes())
+        def spec(cast):
+            values = {key: cast(v) for key, v in params.items()}
+            fields = {key: values.pop(key) for key in ("resolution", "dim")
+                      if key in values}
+            return CurveSpec(kind, values, **fields)
+
+        assert (generate(spec(float)).vertices.tobytes()
+                == generate(spec(int)).vertices.tobytes())
 
     @pytest.mark.parametrize("kind, params, reads", [
         ("circle", {"bogus": 1}, "none"),
