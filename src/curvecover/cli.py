@@ -9,13 +9,15 @@ Subcommands:
 
 Every command but gen writes a report to --out FILE (default stdout)
 as --render json, csv or table; table is the aligned table for bounds,
-the CSV for sweep and the JSON for partition and verify.  A verdict
-value <= bound FAILs iff value > bound + err, err an a priori rounding
-bound from the curve's vertex count, dimension and largest vertex norm
-and the two values; sweep judges the exact mean of beta over all shifts,
-1/k + average_chord(1/k).  Each failed verdict prints one FAIL line on
-stderr.  Exit status: 0 if every certified verdict passes, 1 if one
-fails, 2 on bad input.
+the CSV for sweep and the JSON for partition and verify.  Report
+commands only compute; main adds the auto-normalized note of a rescaled
+curve file, renders the one view asked for, and prints the FAIL lines.
+A verdict value <= bound FAILs iff value > bound + err, err an a priori
+rounding bound from the curve's vertex count, dimension and largest
+vertex norm and the two values; sweep judges the exact mean of beta
+over all shifts, 1/k + average_chord(1/k).  Each failed verdict prints
+one FAIL line on stderr.  Exit status: 0 if every certified verdict
+passes, 1 if one fails, 2 on bad input.
 """
 
 import argparse
@@ -31,16 +33,6 @@ from .curve import _piece_lengths
 from .errors import BadFlag, CurveCoverError
 
 
-def _load_normalized(path):
-    """(curve, notes): the curve file scaled to unit length, with a note
-    when it had to be."""
-    curve = curveio.load_curve(path, normalize=True)
-    if curve.input_length == curve.length:  # unit length already: not rescaled
-        return curve, []
-    note = f"input curve length {curve.input_length:.12g} != 1; auto-normalized"
-    return curve, [note]
-
-
 # the most float64s one numpy array can hold: numpy raises ValueError, not
 # MemoryError, above it
 _MAX_COUNT = np.iinfo(np.intp).max // 8
@@ -51,12 +43,6 @@ def _check_count(flag, n, least=1):
         raise BadFlag(f"{flag} must be >= {least}")
     if n > _MAX_COUNT:
         raise BadFlag(f"{flag} must be <= {_MAX_COUNT}, got {n}")
-
-
-def _fail(check, value, bound_name, bound, err):
-    """The FAIL line of a verdict value <= bound that failed."""
-    return (f"FAIL: {check} is {value!r}, above {bound_name} {bound!r} "
-            f"by {value - bound:.3g} (err {err:.3g})")
 
 
 def _fmt3(x):
@@ -75,8 +61,10 @@ def _csv(records, columns, *trailer):
     return lines
 
 
-# Each report command returns (views, fails): views maps every --render
-# mode to a JSON doc (dict) or to a list of lines; fails are the FAIL lines.
+# Each report command only computes, and returns (curve, doc, columns, rows,
+# trailer, verdicts): the curve file it read (None for bounds), the JSON doc,
+# the CSV's columns, rows (dicts) and trailer (name, value) pairs, and its
+# verdicts value <= bound as (check, value, bound_name, bound, passes, err).
 
 def cmd_bounds(args):
     if args.kmax < 1:
@@ -86,11 +74,8 @@ def cmd_bounds(args):
                         bnd.rendered_rows(rows)))
     doc = {"command": "bounds", "kmax": args.kmax,
            "rows": [dict(vars(r)) for r in rows], "rendered": rendered}
-    csv = _csv(doc["rows"], ("k", "lower", "bkk_upper", "new_upper", "s_k"))
-    table = ["k".ljust(16) + " ".join(f"{r.k:>6d}" for r in rows)]
-    table += [name.ljust(16) + " ".join(f"{_fmt3(x):>6}" for x in values)
-              for name, values in rendered.items()]
-    return {"json": doc, "csv": csv, "table": table}, []
+    columns = ("k", "lower", "bkk_upper", "new_upper", "s_k")
+    return None, doc, columns, doc["rows"], (), []
 
 
 def cmd_gen(args):
@@ -120,38 +105,36 @@ def cmd_partition(args):
         raise BadFlag("--shift is only valid with --mode uniform")
     if not math.isfinite(args.shift or 0.0):
         raise BadFlag(f"--shift must be a finite number, got {args.shift!r}")
-    curve, notes = _load_normalized(args.curve)
+    curve = curveio.load_curve(args.curve, normalize=True)
     k = args.k
-    if args.mode == "uniform":
-        shift_or_s = args.shift or 0.0
-        cover = part.uniform_partition(curve, k, shift_or_s)
-        bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
-    elif args.mode == "best":
-        shift_or_s, cover = part.best_uniform_shift(curve, k, "max")
-        bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
-    elif args.mode == "theorem2":
+    if args.mode == "theorem2":
         cover = part.theorem2_partition(curve, k)
         bound = bnd.gamma_upper_refined(k)
         shift_or_s = cover.pieces[0].length_frac
-    else:  # optimized
+    elif args.mode == "optimized":
         cover = part.optimized_partition(curve, k)
         shift_or_s, bound = bnd.solve_sk(k)
+    else:  # a uniform cover, judged by the simple bound
+        if args.mode == "uniform":
+            shift_or_s = args.shift or 0.0
+            cover = part.uniform_partition(curve, k, shift_or_s)
+        else:  # best
+            shift_or_s, cover = part.best_uniform_shift(curve, k, "max")
+        bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
     report = part.cover_report(curve, cover, bound, shift_or_s)
     report["command"] = "partition"
-    report["notes"] = notes
-    csv = _csv(report["pieces"], ("t_start", "length_frac", "piece_length"),
-               ("gamma", report["gamma"]), ("bound", report["bound"]),
-               ("pass", report["bound_satisfied"]), ("err", report["err"]))
-    fails = [] if report["bound_satisfied"] else [_fail(
-        "gamma", report["gamma"], "certified bound", report["bound"], report["err"])]
-    return {"json": report, "csv": csv, "table": report}, fails
+    gamma, ok, err = report["gamma"], report["bound_satisfied"], report["err"]
+    trailer = (("gamma", gamma), ("bound", bound), ("pass", ok), ("err", err))
+    return (curve, report, ("t_start", "length_frac", "piece_length"),
+            report["pieces"], trailer,
+            [("gamma", gamma, "certified bound", bound, ok, err)])
 
 
 def cmd_sweep(args):
     _check_count("--samples", args.samples, 2)
     _check_count("--k", args.k)
     _check_count("--samples times --k", args.samples * args.k)
-    curve, notes = _load_normalized(args.curve)
+    curve = curveio.load_curve(args.curve, normalize=True)
     k = args.k
     # row j is the uniform cover with shift j / (k samples)
     shifts = np.arange(args.samples) / (k * args.samples)
@@ -167,35 +150,38 @@ def cmd_sweep(args):
     ok, err = chords._verdict(curve, exact, bound)
     doc = {"command": "sweep", "k": k, "samples": args.samples, "rows": rows,
            "mean_beta": mean_beta, "exact_mean_beta": exact, "beta_bound": bound,
-           "mean_beta_within_bound": ok, "err": err, "notes": notes}
-    csv = _csv(rows, ("shift", "beta", "gamma"), ("mean_beta", mean_beta),
-               ("exact_mean_beta", exact), ("bound", bound), ("pass", ok),
-               ("err", err))
-    fails = [] if ok else [_fail("mean beta over all shifts", exact, "bound", bound, err)]
-    return {"json": doc, "csv": csv, "table": csv}, fails
+           "mean_beta_within_bound": ok, "err": err}
+    trailer = (("mean_beta", mean_beta), ("exact_mean_beta", exact),
+               ("bound", bound), ("pass", ok), ("err", err))
+    return (curve, doc, ("shift", "beta", "gamma"), rows, trailer,
+            [("mean beta over all shifts", exact, "bound", bound, ok, err)])
 
 
 def cmd_verify(args):
-    curve, notes = _load_normalized(args.curve)
-    results, fails = [], []
+    curve = curveio.load_curve(args.curve, normalize=True)
+    results, rows, verdicts = [], [], []
     for s in args.s:
         value, t_star, chord = chords._both_chords(curve, s)
         bound = math.sin(math.pi * s) / math.pi
         ok, err = chords._verdict(curve, value, bound)
         entry = {"s": s, "average_chord": value, "bound": bound,
                  "slack": bound - value, "pass": ok, "err": err}
+        # the CSV row: its min chord columns stay empty at s = 0, which has none
+        row = dict(entry, min_chord=None, min_chord_pass=None, min_chord_err=None)
         checked = [("average_chord", value, ok, err)]
         if s > 0.0:
             ok, err = chords._verdict(curve, chord, bound)
             entry["min_chord"] = {"t_star": t_star, "chord": chord,
                                   "below_bound": ok, "err": err}
+            row.update(min_chord=chord, min_chord_pass=ok, min_chord_err=err)
             checked.append(("min_chord", chord, ok, err))
-        fails += [_fail(f"{name} at s={s!r}", v, "sin(pi s)/pi =", bound, e)
-                  for name, v, ok, e in checked if not ok]
+        verdicts += [(f"{name} at s={s!r}", v, "sin(pi s)/pi =", bound, ok, e)
+                     for name, v, ok, e in checked]
         results.append(entry)
-    doc = {"command": "verify", "results": results, "notes": notes}
-    csv = _csv(results, ("s", "average_chord", "bound", "slack", "pass", "err"))
-    return {"json": doc, "csv": csv, "table": doc}, fails
+        rows.append(row)
+    columns = ("s", "average_chord", "bound", "slack", "pass", "err",
+               "min_chord", "min_chord_pass", "min_chord_err")
+    return curve, {"command": "verify", "results": results}, columns, rows, (), verdicts
 
 
 def _report_flags(sp):
@@ -254,10 +240,22 @@ def main(argv=None) -> int:
         report = globals()["cmd_" + args.command](args)
         if report is None:  # gen wrote its curve file
             return 0
-        views, fails = report
-        view = views[args.render]
-        text = (json.dumps(view, sort_keys=True) if isinstance(view, dict)
-                else "\n".join(view)) + "\n"
+        curve, doc, columns, rows, trailer, verdicts = report
+        if curve is not None:  # a note when the curve file was rescaled
+            doc["notes"] = [] if curve.input_length == curve.length else [
+                f"input curve length {curve.input_length:.12g} != 1; auto-normalized"]
+        view = args.render
+        if view == "table":  # the aligned table for bounds, the CSV for sweep
+            view = {"bounds": "aligned", "sweep": "csv"}.get(args.command, "json")
+        if view == "json":
+            lines = [json.dumps(doc, sort_keys=True)]
+        elif view == "csv":
+            lines = _csv(rows, columns, *trailer)
+        else:  # the aligned bounds table: k, then one row per rendered bound
+            lines = ["k".ljust(16) + " ".join(f"{r['k']:>6d}" for r in doc["rows"])]
+            lines += [name.ljust(16) + " ".join(f"{_fmt3(x):>6}" for x in values)
+                      for name, values in doc["rendered"].items()]
+        text = "\n".join(lines) + "\n"
         if args.out:
             curveio._write_text(args.out, text)
         else:
@@ -265,9 +263,11 @@ def main(argv=None) -> int:
     except (CurveCoverError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    for line in fails:
-        print(line, file=sys.stderr)
-    return 1 if fails else 0
+    failed = [v for v in verdicts if not v[4]]  # v[4]: passes
+    for check, value, bound_name, bound, _, err in failed:
+        print(f"FAIL: {check} is {value!r}, above {bound_name} {bound!r} "
+              f"by {value - bound:.3g} (err {err:.3g})", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,13 @@ class TestBounds:
         assert main(["bounds", "--kmax", "10"]) == 0
         out = capsys.readouterr().out
         assert "0.644" in out and "0.475" in out and "--" in out
+        assert main(["bounds", "--kmax", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "k                    1      2      3",
+            "lower            1.000  0.818  0.609",
+            "bkk_upper        1.000  0.818  0.737",
+            "new_upper           --     --  0.644",
+        ]
 
     def test_csv_render(self, capsys):
         assert main(["bounds", "--kmax", "3", "--render", "csv"]) == 0
@@ -338,18 +345,38 @@ class TestVerify:
         assert err[0].endswith(f" by 0.001 (err {slack:.3g})")
 
     def test_csv_lines(self, square_file, monkeypatch, capsys):
+        # average chord 0.1 at every s; the min chord 0.3 fails at s = 0.25,
+        # and its columns are empty at s = 0, which has no minimum chord
         both = chords._both_chords
-        monkeypatch.setattr(chords, "_both_chords",
-                            lambda curve, s: (0.1,) + both(curve, s)[1:])
-        assert main(["verify", square_file, "--s", "0.05", "0.25",
+
+        def patched(curve, s):
+            _, t_star, chord = both(curve, s)
+            return 0.1, t_star, 0.3 if s == 0.25 else chord
+
+        monkeypatch.setattr(chords, "_both_chords", patched)
+        assert main(["verify", square_file, "--s", "0", "0.05", "0.25",
                      "--render", "csv"]) == 1
         lines = capsys.readouterr().out.splitlines()
         square = load_curve(square_file)
         b05, b25 = (math.sin(math.pi * s) / math.pi for s in (0.05, 0.25))
-        e05, e25 = (chords._verdict(square, 0.1, b)[1] for b in (b05, b25))
-        assert lines == ["s,average_chord,bound,slack,pass,err",
-                         f"0.05,0.1,{b05!r},{b05 - 0.1!r},False,{e05!r}",
-                         f"0.25,0.1,{b25!r},{b25 - 0.1!r},True,{e25!r}"]
+        e0, e05, e25 = (chords._verdict(square, 0.1, b)[1] for b in (0.0, b05, b25))
+        c05 = chords.min_chord_start(square, 0.05)[1]
+        m05, m25 = (chords._verdict(square, c, b)[1] for c, b in ((c05, b05), (0.3, b25)))
+        assert lines == [
+            "s,average_chord,bound,slack,pass,err,min_chord,min_chord_pass,min_chord_err",
+            f"0.0,0.1,0.0,-0.1,False,{e0!r},,,",
+            f"0.05,0.1,{b05!r},{b05 - 0.1!r},False,{e05!r},{c05!r},True,{m05!r}",
+            f"0.25,0.1,{b25!r},{b25 - 0.1!r},True,{e25!r},0.3,False,{m25!r}"]
+
+    def test_fail_lines_in_order(self, square_file, monkeypatch, capsys):
+        # s in argv order, the average chord before the min chord
+        monkeypatch.setattr(chords, "_both_chords",
+                            lambda curve, s: (0.4, 0.0, 0.45))
+        assert main(["verify", square_file, "--s", "0.25", "0.05"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" is ")[0] for line in err] == [
+            "FAIL: average_chord at s=0.25", "FAIL: min_chord at s=0.25",
+            "FAIL: average_chord at s=0.05", "FAIL: min_chord at s=0.05"]
 
     def test_readme_circle_errs(self, circle_file, capsys):
         # every verdict of the README commands on the 4,096-vertex circle:
@@ -392,7 +419,7 @@ class TestVerify:
             main(["verify", str(path), "--s"] + [repr(s) for s in s_values]
                  + ["--render", "json"])
             results = json.loads(capsys.readouterr().out)["results"]
-            loaded = cli._load_normalized(path)[0]
+            loaded = load_curve(path, normalize=True)
             for s, r in zip(s_values, results, strict=True):
                 assert r["average_chord"] == chords.average_chord(loaded, s), (name, s)
                 t_star, chord = chords.min_chord_start(loaded, s)
@@ -430,6 +457,20 @@ class TestReportPath:
             assert main(argv + ["--render", render]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "{circle}", "--k", "5", "--mode", "optimized"],
+        ["sweep", "{circle}", "--k", "3", "--samples", "16"],
+        ["verify", "{circle}", "--s", "0", "0.25"],
+    ])
+    def test_json_builds_no_csv(self, argv, circle_file, monkeypatch, capsys):
+        def no_csv(*args):
+            raise AssertionError("CSV built for a JSON report")
+
+        monkeypatch.setattr(cli, "_csv", no_csv)
+        argv = [a.format(circle=circle_file) for a in argv]
+        assert main(argv + ["--render", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
     def test_out_file_matches_stdout(self, circle_file, tmp_path, capsys):
         argv = ["verify", circle_file, "--s", "0.25", "--render", "csv"]
@@ -576,8 +617,8 @@ class TestOneParser:
     def test_handler_rebound_after_first_call(self, monkeypatch, capsys):
         assert main(["bounds", "--kmax", "2"]) == 0
         monkeypatch.setattr(cli, "cmd_bounds",
-                            lambda args: ({"table": ["patched"]}, []))
-        assert main(["bounds", "--kmax", "2"]) == 0
+                            lambda args: (None, {}, ("patched",), [], (), []))
+        assert main(["bounds", "--kmax", "2", "--render", "csv"]) == 0
         assert capsys.readouterr().out.endswith("patched\n")
 
 
