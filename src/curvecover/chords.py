@@ -6,7 +6,8 @@ curve.  One cell kernel serves every chord computation: ``_cells`` cuts
 [0, 1) where t or t+s crosses a vertex, and hands every per-s reader the
 chord ||a + b (t - t0)|| on each cell [t0, t1] (a formed at t0) in vertex
 form.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it,
-and ``verify`` gets both from one pass; ``best_uniform_shift`` forms its own.
+``verify`` gets both from one pass, and ``best_uniform_shift`` reads it at
+s = 1/k for every arc of a uniform cover.
 """
 
 import math
@@ -48,9 +49,9 @@ def _require_unit(curve: ClosedCurve):
 
 
 def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):
-    """(a, b) with r(t+s) - r(t) = a + b (t - t0) on cells [t0, t1] (any shape)
-    where t and t+s each stay on one edge; a and b add a trailing axis of size
-    d.  a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0."""
+    """(a, b) with r(t+s) - r(t) = a + b (t - t0) on the 1-D cells [t0, t1] of
+    ``_cells``, where t and t+s each stay on one edge; a and b are (cells, d).
+    a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0."""
     u, vtx, tan = curve.params, curve.vertices, curve._tangents
     mids = 0.5 * (t0 + t1)
     i = np.clip(np.searchsorted(u, mids, side="right") - 1, 0, curve.n - 1)
@@ -90,8 +91,7 @@ def _vertex_form(a, b):
     near zero keeps its accuracy, which A t^2 + 2 (a.b) t + |a|^2 loses."""
     A = np.einsum("...d,...d->...", b, b)
     h = _ratio(np.einsum("...d,...d->...", a, b), A)
-    q = h[..., None] * b
-    np.subtract(a, q, out=q)  # q = a - h b, in place: k x cells x d in the shift search
+    q = a - h[..., None] * b
     return A, h, np.einsum("...d,...d->...", q, q)
 
 

@@ -15,13 +15,14 @@ the original plus the chord joining its endpoints:
 construction bounds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
-from .chords import (_affine_at, _require_unit, _verdict, _vertex_form,
-                     golden_section, min_chord_start)
+from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _verdict, golden_section,
+                     min_chord_start)
 # chord_length unused: perfbench/selftest.py checks its tracer binding here
 from .curve import Arc, ClosedCurve, _piece_lengths, chord_length  # noqa: F401
 from .errors import KTooSmall, NotAPartition, OutOfRange
@@ -49,11 +50,29 @@ def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     """k arcs of length 1/k starting at shift, shift + 1/k, ..."""
     if k < 1:
         raise KTooSmall("k must be >= 1")
-    starts = np.mod(shift + np.arange(k) / k, 1.0)
+    # fmod is exact, so j/k survives any shift; a start just below 0 rounds to 1
+    starts = np.mod(math.fmod(shift, 1.0) + np.arange(k) / k, 1.0)
+    starts[starts == 1.0] = 0.0
     fracs = np.full(k, 1.0 / k)
     lengths = _piece_lengths(curve, starts, fracs)
     arcs = tuple(Arc(float(t), 1.0 / k) for t in starts)
     return Cover(arcs, lengths, "uniform")
+
+
+def _shift_cells(curve: ClosedCurve, k: int):
+    """(lo, hi, qa, h, qm): the shift cells [lo, hi] of [0, 1/k), cut where an
+    arc endpoint crosses a vertex, and arc j's squared chord at shift lo + tau,
+    qa (tau + h)^2 + qm, in row j (k x cells)."""
+    period = 1.0 / k
+    brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
+                                    [0.0, period])))
+    lo, hi = brk[:-1], brk[1:]
+    t0, _, A, H, q2 = _cells(curve, period)
+    # arc j on [lo, hi] lies inside one cell [t0, t1] of _cells, as both cut at
+    # every vertex mod 1/k: the cell holding its midpoint, with h moved to lo
+    start = lo + (np.arange(k) / k)[:, None]
+    c = np.searchsorted(t0, start + 0.5 * (hi - lo), side="right") - 1
+    return lo, hi, A[c], H[c] + (start - t0[c]), q2[c]
 
 
 def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
@@ -61,11 +80,13 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
 
     Requires a unit-length curve.  Shifts where an arc endpoint crosses
     a vertex cut [0, 1/k) into cells; on a cell each arc's chord is the
-    norm of an affine function of the shift, so the objective is convex
-    there.  Cells whose bound (each arc's minimum, reduced by the objective)
-    exceeds the best cell start are dropped; a batched golden-section search
-    refines the rest and the widest cell, which sets its step count, to 1e-12.
-    The best cell start or refined point wins.  Returns (shift_star, cover).
+    norm of an affine function of the shift, read from ``_cells`` at s = 1/k,
+    so the objective is convex there.  Cells whose bound (each arc's minimum,
+    reduced by the objective) exceeds the best cell start, by more than the
+    tie tolerance, are dropped; a batched golden-section search refines the
+    rest and the widest cell, which sets its step count, to 1e-12.  Ties go
+    to the smallest cell start or refined point whose cost is within a
+    relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
@@ -75,12 +96,8 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     if k == 1:
         return 0.0, uniform_partition(curve, 1, 0.0)
     period = 1.0 / k
-    brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
-                                    [0.0, period])))
-    lo, hi = brk[:-1], brk[1:]
-    # one row of cells per arc, shifted by j/k
-    shifted = brk[None, :] + (np.arange(k) / k)[:, None]
-    qa, h, qm = _vertex_form(*_affine_at(curve, period, shifted[:, :-1], shifted[:, 1:]))
+    lo, hi, qa, h, qm = _shift_cells(curve, k)
+    lo_all = lo  # every cell start is a candidate, also where pruning drops the cell
 
     def sq(tau):  # each arc's squared chord at shift lo + tau
         return qa * np.square(tau + h) + qm
@@ -93,14 +110,14 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     # a few ulp past the cell end, is a few ulp of that: far below the 2e-13 (qa/k^2
     # + sq0) taken off each arc's minimum.  Max and sums are monotone.
     low = sq(np.clip(-h, 0.0, hi - lo)) - 2e-13 * (qa * period**2 + sq0)
-    keep = reduce(np.maximum(low, 0.0)) <= start.min()
+    keep = reduce(np.maximum(low, 0.0)) <= start.min() * (1.0 + MIN_TIE_RTOL)
     keep[np.argmax(hi - lo)] = True  # the widest cell sets golden_section's steps
     if not keep.all():  # np.compress keeps rows C-contiguous: fast, same sum order
         qa, h, qm, lo, hi = (np.compress(keep, q, -1) for q in (qa, h, qm, lo, hi))
     x, y = golden_section(lambda sigma: reduce(sq(sigma - lo)), lo, hi)
-    cand = np.concatenate((brk[:-1], x))
-    i = int(np.argmin(np.concatenate((start, y))))
-    return float(cand[i]), uniform_partition(curve, k, float(cand[i]))
+    cand, cost = np.concatenate((lo_all, x)), np.concatenate((start, y))
+    shift = float(cand[cost <= cost.min() * (1.0 + MIN_TIE_RTOL)].min())
+    return shift, uniform_partition(curve, k, shift)
 
 
 def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:

@@ -107,6 +107,15 @@ class TestPartition:
         assert captured.out == ""
         assert captured.err == f"error: --shift must be a finite number, got {shift}\n"
 
+    @pytest.mark.parametrize("shift", ["-1e-20", "1e16"])
+    def test_finite_shift_far_from_zero(self, shift, circle_file, capsys):
+        # -1e-20 used to start an arc at 1.0, and 1e16 lost j/k: both exited 2
+        assert main(["partition", circle_file, "--k", "4", "--mode", "uniform",
+                     f"--shift={shift}", "--render", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["t_start"] for p in doc["pieces"]] == [0.0, 0.25, 0.5, 0.75]
+        assert doc["shift_or_s"] == float(shift)
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "{circle}", "--k", "3", "--samples", "1000000000000000"],
         ["partition", "{circle}", "--k", "10000000000000000"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from curvecover import (Arc, Cover, CurveSpec, beta_extremal, best_uniform_shift
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, optimized_partition, solve_sk,
                         theorem2_partition, uniform_partition)
-from curvecover.chords import _affine_at, _vertex_form
+from curvecover.chords import MIN_TIE_RTOL
 from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
                                NotNormalized, OutOfRange)
+from curvecover.partition import _shift_cells
 
 
 class TestUniformPartition:
@@ -36,6 +38,19 @@ class TestUniformPartition:
     def test_k_zero(self, circle):
         with pytest.raises(KTooSmall):
             uniform_partition(circle, 0)
+
+    @pytest.mark.parametrize("shift, want", [
+        (-0.3, np.mod(-0.3 + np.arange(4) / 4, 1.0)),
+        (0.3, np.mod(0.3 + np.arange(4) / 4, 1.0)),
+        (-1e-20, [0.0, 0.25, 0.5, 0.75]), (1e16, [0.0, 0.25, 0.5, 0.75]),
+        (-2.75, [0.25, 0.5, 0.75, 0.0])])
+    def test_starts_at_any_shift(self, circle, shift, want):
+        # -1e-20 + 0 rounds to 1 mod 1 and 1e16 + j/k loses j/k; other shifts
+        # with |shift| < 1 keep the starts they had
+        cover = uniform_partition(circle, 4, shift)
+        starts = np.array([a.t_start for a in cover.pieces])
+        assert starts.tobytes() == np.asarray(want, dtype=float).tobytes()
+        cover_metrics(circle, cover)  # raises NotAPartition unless the arcs tile
 
     def test_proposition_two_over_k(self, corpus):
         shifts = np.arange(64) / 64
@@ -95,23 +110,33 @@ class TestBestUniformShift:
         assert 0.0 <= shift < 1.0 / k
         assert float(reduce(cover.piece_lengths)) <= brute + 1e-12
 
+    @pytest.mark.parametrize("spec, k", [
+        (CurveSpec("random_closed", {"n": 16, "seed": 7}, dim=3), 50),
+        (CurveSpec("regular_polygon", {"m": 8}), 12)], ids=["rnd-k50", "octagon-k12"])
+    def test_ties_go_to_the_smallest_shift(self, spec, k):
+        # many shifts tie in gamma here, up to its last bits; rounding used to
+        # pick one of them
+        curve = generate(spec)
+        shift, cover = best_uniform_shift(curve, k)
+        assert shift == 0.0
+        lo, hi = _shift_cells(curve, k)[:2]
+        gammas = [cover_metrics(curve, uniform_partition(curve, k, t)).gamma
+                  for t in np.concatenate((lo, 0.5 * (lo + hi)))]
+        assert cover_metrics(curve, cover).gamma <= min(gammas) * (1.0 + 1e-12)
+
 
 def _full_search_shift(curve, k, objective):
-    """Reference: the shift search that refines every cell, before pruning."""
-    period = 1.0 / k
-    brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
-                                    [0.0, period])))
-    lo = brk[:-1]
-    shifted = brk[None, :] + (np.arange(k) / k)[:, None]
-    qa, h, qm = _vertex_form(*_affine_at(curve, period, shifted[:, :-1], shifted[:, 1:]))
+    """Reference: the shift search that refines every cell, before pruning,
+    with the same tie rule."""
+    lo, hi, qa, h, qm = _shift_cells(curve, k)
 
     def cost(sigma):
         sq = qa * np.square(sigma - lo + h) + qm
         return sq.max(axis=0) if objective == "max" else np.sqrt(sq).sum(axis=0)
 
-    x, y = golden_section(cost, lo, brk[1:])
-    cand = np.concatenate((lo, x))
-    return float(cand[int(np.argmin(np.concatenate((cost(lo), y))))])
+    x, y = golden_section(cost, lo, hi)
+    cand, costs = np.concatenate((lo, x)), np.concatenate((cost(lo), y))
+    return float(cand[costs <= costs.min() * (1.0 + MIN_TIE_RTOL)].min())
 
 
 def _assert_pruned_matches_full(curve, k, objective):
@@ -149,6 +174,43 @@ def random_polylines(draw):
        objective=st.sampled_from(["max", "avg"]))
 def test_pruned_search_matches_full_random(curve, k, objective):
     _assert_pruned_matches_full(curve, k, objective)
+
+
+def _assert_shift_cells_match(curve, k):
+    # each arc's quadratic against the chord measured afresh, at the start,
+    # middle and end of every shift cell
+    lo, hi, qa, h, qm = _shift_cells(curve, k)
+    arc = (np.arange(k) / k)[:, None]
+    for tau in (0.0, 0.5 * (hi - lo), hi - lo):
+        got = np.sqrt(qa * np.square(tau + h) + qm)
+        want = chord_length(curve, lo + tau + arc, 1.0 / k)
+        assert np.max(np.abs(got - want)) <= 1e-12, (k, tau)
+
+
+@pytest.mark.parametrize("k", [2, 3, 13, 50])
+def test_shift_cells_match_chord_length(corpus, random4k, k):
+    for curve in [*corpus.values(), random4k]:
+        _assert_shift_cells_match(curve, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve=random_polylines(), k=st.sampled_from([2, 3, 13, 50]))
+def test_shift_cells_match_chord_length_random(curve, k):
+    _assert_shift_cells_match(curve, k)
+
+
+def test_shift_search_memory_does_not_grow_with_dim():
+    # the search reads each arc's chord from _cells: no k x cells x d array
+    peaks = []
+    for d in (2, 5):
+        curve = generate(CurveSpec("random_closed", {"n": 4096, "seed": 7}, dim=d))
+        tracemalloc.start()
+        try:
+            best_uniform_shift(curve, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
