@@ -159,12 +159,14 @@ def golden_section(f, a, b):
     h = np.asarray(b, dtype=float) - a
     c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
     yc, yd = f(c), f(d)
-    while np.max(h, initial=0.0) > 1e-12:
-        h = h * _INV_PHI
-        left = yc < yd  # keep [a, d]; else keep [c, b]
+    widest = np.max(h, initial=0.0)  # rounding is monotone: max(h) * phi is max(h * phi)
+    while widest > 1e-12:
+        h, widest = h * _INV_PHI, widest * _INV_PHI
+        left = yc < yd  # keep [a, d] with a new c; else keep [c, b] with a new d
         a = np.where(left, a, c)
-        c, d = np.where(left, a + _INV_PHI2 * h, d), np.where(left, c, a + _INV_PHI * h)
-        y = f(np.where(left, c, d))
+        x = a + np.where(left, _INV_PHI2, _INV_PHI) * h
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        y = f(x)
         yc, yd = np.where(left, y, yd), np.where(left, yc, y)
     first = yc < yd
     return np.where(first, c, d)[()], np.where(first, yc, yd)[()]

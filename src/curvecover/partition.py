@@ -28,6 +28,7 @@ from .curve import Arc, ClosedCurve, _piece_lengths, chord_length  # noqa: F401
 from .errors import KTooSmall, NotAPartition, OutOfRange
 
 PARTITION_TOL = 1e-9
+_BLOCK = 2**15  # elements (arcs x cells) in one block of the shift search
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,74 @@ def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
 
 
 def _shift_cells(curve: ClosedCurve, k: int):
-    """(lo, hi, qa, h, qm): the shift cells [lo, hi] of [0, 1/k), cut where an
-    arc endpoint crosses a vertex, and arc j's squared chord at shift lo + tau,
-    qa (tau + h)^2 + qm, in row j (k x cells)."""
+    """(lo, hi, arcs): the shift cells [lo, hi] of [0, 1/k), cut where an arc
+    endpoint crosses a vertex, and arcs(c) -> (qa, h, qm) on the cells c (a
+    slice or index array): arc j's squared chord qa (tau + h)^2 + qm at shift
+    lo + tau, in row j."""
+    offs = np.arange(k)[:, None] / k  # built once: a k too large to allocate fails here
     period = 1.0 / k
     brk = np.unique(np.concatenate((np.mod(curve.params[:-1], period),
                                     [0.0, period])))
     lo, hi = brk[:-1], brk[1:]
     t0, _, A, H, q2 = _cells(curve, period)
-    # arc j on [lo, hi] lies inside one cell [t0, t1] of _cells, as both cut at
-    # every vertex mod 1/k: the cell holding its midpoint, with h moved to lo
-    start = lo + (np.arange(k) / k)[:, None]
-    c = np.searchsorted(t0, start + 0.5 * (hi - lo), side="right") - 1
-    return lo, hi, A[c], H[c] + (start - t0[c]), q2[c]
+
+    def arcs(c):
+        # arc j on [lo, hi] lies inside one cell [t0, t1] of _cells, as both cut at
+        # every vertex mod 1/k: the cell holding its midpoint, with h moved to lo
+        h = lo[c] + offs
+        i = np.searchsorted(t0, h + 0.5 * (hi[c] - lo[c]), side="right") - 1
+        h -= t0[i]
+        h += H[i]  # H + (start - t0), in place
+        return A[i], h, q2[i]
+    return lo, hi, arcs
+
+
+def _sq(qa, h, qm, tau):
+    """Each arc's squared chord qa (tau + h)^2 + qm at shift lo + tau."""
+    v = np.add(tau, h)
+    np.square(v, out=v)
+    v *= qa
+    v += qm
+    return v
+
+
+def _slack(qa, sq0, period):
+    """2e-13 (qa/k^2 + sq0), taken off each arc's least value on its cell and
+    added to its greatest: there sq <= 2 (qa/k^2 + sq0), and its rounding, also
+    at the search's points a few ulp past the cell end, is a few ulp of that."""
+    return 2e-13 * (qa * period**2 + sq0)
+
+
+def _start_and_bound(form, width, period, reduce):
+    """Each cell's cost at its start and its bound: ``reduce`` over the arcs of
+    their values at lo and of their least values on the cell, less the slack."""
+    qa, h, _ = form
+    sq0 = _sq(*form, 0.0)  # at lo, as lo - lo = 0
+    low = _sq(*form, np.clip(-h, 0.0, width))
+    low -= _slack(qa, sq0, period)  # max and sums are monotone
+    return reduce(sq0), reduce(np.maximum(low, 0.0, out=low))
+
+
+def _can_set_max(form, floor, width, period):
+    """form's rows (k x cells) cut to the arcs that can set the max on each cell:
+    those whose greatest value there (at an end, as sq is convex) plus the slack
+    reaches the cell's bound ``floor``.  Every other arc stays below the arc that
+    sets ``floor`` at each point the search evaluates, so the max keeps its bits,
+    also where a cell with fewer such arcs pads its rows with arc 0."""
+    qa = form[0]
+    sq0 = _sq(*form, 0.0)
+    top = np.maximum(_sq(*form, width), sq0)
+    top += _slack(qa, sq0, period)
+    can = top >= floor
+    r = can.sum(axis=0).max()
+    if r == len(qa):
+        return form
+    # row i of a cell: its i-th arc that can; the arcs that cannot land in row r
+    rows = np.zeros((r + 1, len(floor)), dtype=np.intp)
+    rows[np.where(can, np.cumsum(can, axis=0) - 1, r), np.arange(len(floor))] = \
+        np.arange(len(qa))[:, None]
+    flat = rows[:r] * len(floor) + np.arange(len(floor))
+    return tuple(q.take(flat) for q in form)
 
 
 def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
@@ -81,11 +137,17 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     Requires a unit-length curve.  Shifts where an arc endpoint crosses
     a vertex cut [0, 1/k) into cells; on a cell each arc's chord is the
     norm of an affine function of the shift, read from ``_cells`` at s = 1/k,
-    so the objective is convex there.  Cells whose bound (each arc's minimum,
-    reduced by the objective) exceeds the best cell start, by more than the
-    tie tolerance, are dropped; a batched golden-section search refines the
-    rest and the widest cell, which sets its step count, to 1e-12.  Ties go
-    to the smallest cell start or refined point whose cost is within a
+    so the objective is convex there.  A first pass walks the cells in blocks
+    of all k arcs and about ``_BLOCK`` elements, and keeps only each cell's
+    cost at its start and its bound (each arc's minimum, reduced by the
+    objective).  Cells whose bound exceeds the best start, by more than the
+    tie tolerance, are dropped; a second pass refines the rest to 1e-12 by a
+    batched golden-section search, in blocks of the same size.  Every block
+    also carries the widest cell, which sets golden_section's step count, so
+    each cell gets the point and cost of one search over every cell at once.
+    For ``max`` a block refines, on each cell, only the arcs that can set the
+    max there (``_can_set_max``).  Memory does not grow with k x cells.  Ties
+    go to the smallest cell start or refined point whose cost is within a
     relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
     """
     if k < 1:
@@ -96,26 +158,37 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     if k == 1:
         return 0.0, uniform_partition(curve, 1, 0.0)
     period = 1.0 / k
-    lo, hi, qa, h, qm = _shift_cells(curve, k)
-    lo_all = lo  # every cell start is a candidate, also where pruning drops the cell
+    lo, hi, arcs = _shift_cells(curve, k)
+    width = hi - lo
 
-    def sq(tau):  # each arc's squared chord at shift lo + tau
-        return qa * np.square(tau + h) + qm
+    def reduce(v):  # over the arcs; avg takes the roots in place, so v is spent
+        return v.max(axis=0) if objective == "max" else np.sqrt(v, out=v).sum(axis=0)
 
-    def reduce(v):
-        return v.max(axis=0) if objective == "max" else np.sqrt(v).sum(axis=0)
-
-    start = reduce(sq0 := sq(0.0))  # the cost at lo, as lo - lo = 0
-    # On a cell sq <= 2 (qa/k^2 + sq0), and its rounding, also at the search's points
-    # a few ulp past the cell end, is a few ulp of that: far below the 2e-13 (qa/k^2
-    # + sq0) taken off each arc's minimum.  Max and sums are monotone.
-    low = sq(np.clip(-h, 0.0, hi - lo)) - 2e-13 * (qa * period**2 + sq0)
-    keep = reduce(np.maximum(low, 0.0)) <= start.min() * (1.0 + MIN_TIE_RTOL)
-    keep[np.argmax(hi - lo)] = True  # the widest cell sets golden_section's steps
-    if not keep.all():  # np.compress keeps rows C-contiguous: fast, same sum order
-        qa, h, qm, lo, hi = (np.compress(keep, q, -1) for q in (qa, h, qm, lo, hi))
-    x, y = golden_section(lambda sigma: reduce(sq(sigma - lo)), lo, hi)
-    cand, cost = np.concatenate((lo_all, x)), np.concatenate((start, y))
+    # blocks of >= 2 cells (or the only one): numpy sums their k rows in order,
+    # as it does over every cell at once
+    cols = max(4, _BLOCK // k)
+    blocks = -(-len(lo) // cols)
+    edges = np.arange(blocks + 1) * len(lo) // blocks
+    start, bound = np.empty_like(lo), np.empty_like(lo)
+    for c in map(slice, edges[:-1], edges[1:]):
+        held = arcs(c)
+        start[c], bound[c] = _start_and_bound(held, width[c], period, reduce)
+    held = held if blocks == 1 else None  # pass 2 re-reads the cells from _cells
+    keep = bound <= start.min() * (1.0 + MIN_TIE_RTOL)
+    wide = np.argmax(width)  # the widest cell sets golden_section's steps
+    keep[wide] = False
+    rest = np.flatnonzero(keep)
+    xs, ys = [lo], [start]  # every cell start is a candidate, also of a dropped cell
+    for part in np.array_split(rest, max(1, -(-len(rest) // (cols - 1)))):
+        c = np.sort(np.append(part, wide))  # every block carries the widest cell
+        form = held if len(c) == len(lo) else arcs(c)
+        if objective == "max":
+            form = _can_set_max(form, bound[c], width[c], period)
+        lo_c = lo[c]
+        x, y = golden_section(lambda sigma: reduce(_sq(*form, sigma - lo_c)), lo_c, hi[c])
+        xs.append(x)
+        ys.append(y)
+    cand, cost = np.concatenate(xs), np.concatenate(ys)
     shift = float(cand[cost <= cost.min() * (1.0 + MIN_TIE_RTOL)].min())
     return shift, uniform_partition(curve, k, shift)
 

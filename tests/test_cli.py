@@ -119,6 +119,7 @@ class TestPartition:
     @pytest.mark.parametrize("argv", [
         ["sweep", "{circle}", "--k", "3", "--samples", "1000000000000000"],
         ["partition", "{circle}", "--k", "10000000000000000"],
+        ["partition", "{circle}", "--k", "10000000000000000", "--mode", "best"],
     ])
     def test_unallocatable_size(self, argv, circle_file, capsys):
         # numpy refuses these sizes before allocating anything

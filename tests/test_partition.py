@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from curvecover import (Arc, Cover, CurveSpec, beta_extremal, best_uniform_shift
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, optimized_partition, solve_sk,
                         theorem2_partition, uniform_partition)
+from curvecover import partition
 from curvecover.chords import MIN_TIE_RTOL
 from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
                                NotNormalized, OutOfRange)
@@ -126,9 +128,10 @@ class TestBestUniformShift:
 
 
 def _full_search_shift(curve, k, objective):
-    """Reference: the shift search that refines every cell, before pruning,
-    with the same tie rule."""
-    lo, hi, qa, h, qm = _shift_cells(curve, k)
+    """Reference: the shift search that refines every cell with all k arcs in
+    one block, before pruning, with the same tie rule."""
+    lo, hi, arcs = _shift_cells(curve, k)
+    qa, h, qm = arcs(slice(None))
 
     def cost(sigma):
         sq = qa * np.square(sigma - lo + h) + qm
@@ -176,10 +179,32 @@ def test_pruned_search_matches_full_random(curve, k, objective):
     _assert_pruned_matches_full(curve, k, objective)
 
 
+# blocks of a few dozen elements: every search crosses many cell blocks in
+# both passes, and every refined block carries the widest cell
+SMALL_BLOCK = 40
+
+
+@pytest.mark.parametrize("objective", ["max", "avg"])
+def test_small_blocks_match_full(corpus, random4k, objective, monkeypatch):
+    monkeypatch.setattr(partition, "_BLOCK", SMALL_BLOCK)
+    for curve in [*corpus.values(), random4k]:
+        for k in (2, 3, 5, 13, 50):
+            _assert_pruned_matches_full(curve, k, objective)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve=random_polylines(), k=st.integers(2, 50),
+       objective=st.sampled_from(["max", "avg"]))
+def test_small_blocks_match_full_random(curve, k, objective):
+    with mock.patch.object(partition, "_BLOCK", SMALL_BLOCK):
+        _assert_pruned_matches_full(curve, k, objective)
+
+
 def _assert_shift_cells_match(curve, k):
     # each arc's quadratic against the chord measured afresh, at the start,
     # middle and end of every shift cell
-    lo, hi, qa, h, qm = _shift_cells(curve, k)
+    lo, hi, arcs = _shift_cells(curve, k)
+    qa, h, qm = arcs(slice(None))
     arc = (np.arange(k) / k)[:, None]
     for tau in (0.0, 0.5 * (hi - lo), hi - lo):
         got = np.sqrt(qa * np.square(tau + h) + qm)
@@ -211,6 +236,20 @@ def test_shift_search_memory_does_not_grow_with_dim():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_shift_search_memory_does_not_grow_with_k(circle):
+    # the search walks k x cells in blocks of a fixed size; at k = 32 and 48
+    # no arc drops on the 4,096-gon, so the blocks alone keep the peak down
+    peaks = []
+    for k in (5, 32, 48, 50):
+        tracemalloc.start()
+        try:
+            best_uniform_shift(circle, k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.5 * peaks[0], peaks
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
