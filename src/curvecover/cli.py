@@ -36,13 +36,15 @@ from .errors import BadFlag, CurveCoverError
 # the most float64s one numpy array can hold: numpy raises ValueError, not
 # MemoryError, above it
 _MAX_COUNT = np.iinfo(np.intp).max // 8
+# bkk_table is quadratic in Python: seconds at this kmax, hours at 10^6
+_MAX_KMAX = 4096
 
 
-def _check_count(flag, n, least=1):
+def _check_count(flag, n, least=1, most=_MAX_COUNT):
     if n < least:
         raise BadFlag(f"{flag} must be >= {least}")
-    if n > _MAX_COUNT:
-        raise BadFlag(f"{flag} must be <= {_MAX_COUNT}, got {n}")
+    if n > most:
+        raise BadFlag(f"{flag} must be <= {most}, got {n}")
 
 
 def _fmt3(x):
@@ -67,8 +69,7 @@ def _csv(records, columns, *trailer):
 # verdicts value <= bound as (check, value, bound_name, bound, passes, err).
 
 def cmd_bounds(args):
-    if args.kmax < 1:
-        raise BadFlag("--kmax must be >= 1")
+    _check_count("--kmax", args.kmax, most=_MAX_KMAX)
     rows = bnd.table1(args.kmax)
     rendered = dict(zip(("lower", "bkk_upper", "new_upper"),
                         bnd.rendered_rows(rows)))

@@ -51,6 +51,8 @@ def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     """k arcs of length 1/k starting at shift, shift + 1/k, ..."""
     if k < 1:
         raise KTooSmall("k must be >= 1")
+    if not math.isfinite(shift):
+        raise OutOfRange(f"shift must be a finite number, got {shift}")
     # fmod is exact, so j/k survives any shift; a start just below 0 rounds to 1
     starts = np.mod(math.fmod(shift, 1.0) + np.arange(k) / k, 1.0)
     starts[starts == 1.0] = 0.0
@@ -92,43 +94,17 @@ def _sq(qa, h, qm, tau):
     return v
 
 
-def _slack(qa, sq0, period):
-    """2e-13 (qa/k^2 + sq0), taken off each arc's least value on its cell and
-    added to its greatest: there sq <= 2 (qa/k^2 + sq0), and its rounding, also
-    at the search's points a few ulp past the cell end, is a few ulp of that."""
-    return 2e-13 * (qa * period**2 + sq0)
-
-
 def _start_and_bound(form, width, period, reduce):
     """Each cell's cost at its start and its bound: ``reduce`` over the arcs of
-    their values at lo and of their least values on the cell, less the slack."""
+    their values at lo and of their least values on the cell, less a slack."""
     qa, h, _ = form
     sq0 = _sq(*form, 0.0)  # at lo, as lo - lo = 0
     low = _sq(*form, np.clip(-h, 0.0, width))
-    low -= _slack(qa, sq0, period)  # max and sums are monotone
+    # the slack 2e-13 (qa/k^2 + sq0): on the cell sq <= 2 (qa/k^2 + sq0), and its
+    # rounding, also at the search's points a few ulp past the cell end, is a few
+    # ulp of that; max and sums are monotone, so the bound stays below the cost
+    low -= 2e-13 * (qa * period**2 + sq0)
     return reduce(sq0), reduce(np.maximum(low, 0.0, out=low))
-
-
-def _can_set_max(form, floor, width, period):
-    """form's rows (k x cells) cut to the arcs that can set the max on each cell:
-    those whose greatest value there (at an end, as sq is convex) plus the slack
-    reaches the cell's bound ``floor``.  Every other arc stays below the arc that
-    sets ``floor`` at each point the search evaluates, so the max keeps its bits,
-    also where a cell with fewer such arcs pads its rows with arc 0."""
-    qa = form[0]
-    sq0 = _sq(*form, 0.0)
-    top = np.maximum(_sq(*form, width), sq0)
-    top += _slack(qa, sq0, period)
-    can = top >= floor
-    r = can.sum(axis=0).max()
-    if r == len(qa):
-        return form
-    # row i of a cell: its i-th arc that can; the arcs that cannot land in row r
-    rows = np.zeros((r + 1, len(floor)), dtype=np.intp)
-    rows[np.where(can, np.cumsum(can, axis=0) - 1, r), np.arange(len(floor))] = \
-        np.arange(len(qa))[:, None]
-    flat = rows[:r] * len(floor) + np.arange(len(floor))
-    return tuple(q.take(flat) for q in form)
 
 
 def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
@@ -141,14 +117,13 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     of all k arcs and about ``_BLOCK`` elements, and keeps only each cell's
     cost at its start and its bound (each arc's minimum, reduced by the
     objective).  Cells whose bound exceeds the best start, by more than the
-    tie tolerance, are dropped; a second pass refines the rest to 1e-12 by a
-    batched golden-section search, in blocks of the same size.  Every block
-    also carries the widest cell, which sets golden_section's step count, so
-    each cell gets the point and cost of one search over every cell at once.
-    For ``max`` a block refines, on each cell, only the arcs that can set the
-    max there (``_can_set_max``).  Memory does not grow with k x cells.  Ties
-    go to the smallest cell start or refined point whose cost is within a
-    relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
+    tie tolerance, are dropped; a second pass refines the rest, with all k
+    arcs, to 1e-12 by a batched golden-section search, in blocks of the same
+    size.  Every block also carries the widest cell, which sets
+    golden_section's step count, so each cell gets the point and cost of one
+    search over every cell at once.  Memory does not grow with k x cells.
+    Ties go to the smallest cell start or refined point whose cost is within
+    a relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
@@ -171,9 +146,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     edges = np.arange(blocks + 1) * len(lo) // blocks
     start, bound = np.empty_like(lo), np.empty_like(lo)
     for c in map(slice, edges[:-1], edges[1:]):
-        held = arcs(c)
-        start[c], bound[c] = _start_and_bound(held, width[c], period, reduce)
-    held = held if blocks == 1 else None  # pass 2 re-reads the cells from _cells
+        start[c], bound[c] = _start_and_bound(arcs(c), width[c], period, reduce)
     keep = bound <= start.min() * (1.0 + MIN_TIE_RTOL)
     wide = np.argmax(width)  # the widest cell sets golden_section's steps
     keep[wide] = False
@@ -181,9 +154,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     xs, ys = [lo], [start]  # every cell start is a candidate, also of a dropped cell
     for part in np.array_split(rest, max(1, -(-len(rest) // (cols - 1)))):
         c = np.sort(np.append(part, wide))  # every block carries the widest cell
-        form = held if len(c) == len(lo) else arcs(c)
-        if objective == "max":
-            form = _can_set_max(form, bound[c], width[c], period)
+        form = arcs(c)
         lo_c = lo[c]
         x, y = golden_section(lambda sigma: reduce(_sq(*form, sigma - lo_c)), lo_c, hi[c])
         xs.append(x)

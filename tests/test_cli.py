@@ -68,6 +68,13 @@ class TestBounds:
         assert main(["bounds", "--kmax", "0"]) == 2
         assert "kmax" in capsys.readouterr().err
 
+    def test_kmax_above_cap(self, capsys):
+        # bkk_table is quadratic in Python: a huge --kmax would run for hours
+        assert main(["bounds", "--kmax", "4097"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --kmax must be <= 4096, got 4097\n"
+
 
 class TestPartition:
     def test_uniform_circle(self, circle_file, capsys):
@@ -84,6 +91,15 @@ class TestPartition:
                      "--render", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma"] == pytest.approx(0.25 + math.sqrt(2) / 8, abs=1e-6)
+
+    def test_readme_best_circle(self, circle_file, capsys):
+        # `curvecover partition circle.json --k 13 --mode best` from the README:
+        # a change to the best-shift search must keep these bits
+        assert main(["partition", circle_file, "--k", "13", "--mode", "best",
+                     "--render", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["shift_or_s"] == 9.391395896225515e-06
+        assert doc["gamma"] == 0.15309962293230944
 
     def test_theorem2_k2_rejected(self, square_file, capsys):
         assert main(["partition", square_file, "--k", "2",

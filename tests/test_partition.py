@@ -54,6 +54,11 @@ class TestUniformPartition:
         assert starts.tobytes() == np.asarray(want, dtype=float).tobytes()
         cover_metrics(circle, cover)  # raises NotAPartition unless the arcs tile
 
+    @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift(self, circle, shift):
+        with pytest.raises(OutOfRange, match=f"shift must be a finite number, got {shift}"):
+            uniform_partition(circle, 4, shift)
+
     def test_proposition_two_over_k(self, corpus):
         shifts = np.arange(64) / 64
         for name, curve in corpus.items():
@@ -239,8 +244,8 @@ def test_shift_search_memory_does_not_grow_with_dim():
 
 
 def test_shift_search_memory_does_not_grow_with_k(circle):
-    # the search walks k x cells in blocks of a fixed size; at k = 32 and 48
-    # no arc drops on the 4,096-gon, so the blocks alone keep the peak down
+    # the search walks k x cells in blocks of a fixed size, in both passes and
+    # with all k arcs, so the blocks alone keep the peak down
     peaks = []
     for k in (5, 32, 48, 50):
         tracemalloc.start()
