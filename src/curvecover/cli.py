@@ -104,8 +104,6 @@ def cmd_partition(args):
     _check_count("--k", args.k)
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
-    if not math.isfinite(args.shift or 0.0):
-        raise BadFlag(f"--shift must be a finite number, got {args.shift!r}")
     curve = curveio.load_curve(args.curve, normalize=True)
     k = args.k
     if args.mode == "theorem2":

@@ -179,15 +179,12 @@ class Arc:
 
 def point_at(curve: ClosedCurve, t):
     """Point at normalized parameter t (scalar or array), 1-periodic."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tt = np.mod(t, 1.0)
+    tt = np.mod(np.asarray(t, dtype=float), 1.0)
     target = tt * curve.length
     idx = np.searchsorted(curve.cum_lengths, target, side="right") - 1
     idx = np.clip(idx, 0, curve.n - 1)
     local = target - curve.cum_lengths[idx]
-    pts = curve.vertices[idx] + local[..., None] * curve._tangents[idx]
-    return pts[()] if not scalar else pts.reshape(curve.dim)
+    return curve.vertices[idx] + local[..., None] * curve._tangents[idx]
 
 
 def chord_length(curve: ClosedCurve, t, s):

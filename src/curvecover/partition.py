@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _verdict, golden_section,
+from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _sq, _verdict, golden_section,
                      min_chord_start)
 # chord_length unused: perfbench/selftest.py checks its tracer binding here
 from .curve import Arc, ClosedCurve, _piece_lengths, chord_length  # noqa: F401
@@ -47,6 +47,12 @@ class CoverMetrics:
     argmax_piece: int
 
 
+def _cover(curve: ClosedCurve, starts, fracs, tag: str) -> Cover:
+    """The cover by the arcs (starts, fracs), with their piece lengths."""
+    arcs = tuple(Arc(float(t), float(f)) for t, f in zip(starts, fracs))
+    return Cover(arcs, _piece_lengths(curve, starts, fracs), tag)
+
+
 def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     """k arcs of length 1/k starting at shift, shift + 1/k, ..."""
     if k < 1:
@@ -56,10 +62,7 @@ def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     # fmod is exact, so j/k survives any shift; a start just below 0 rounds to 1
     starts = np.mod(math.fmod(shift, 1.0) + np.arange(k) / k, 1.0)
     starts[starts == 1.0] = 0.0
-    fracs = np.full(k, 1.0 / k)
-    lengths = _piece_lengths(curve, starts, fracs)
-    arcs = tuple(Arc(float(t), 1.0 / k) for t in starts)
-    return Cover(arcs, lengths, "uniform")
+    return _cover(curve, starts, np.full(k, 1.0 / k), "uniform")
 
 
 def _shift_cells(curve: ClosedCurve, k: int):
@@ -83,15 +86,6 @@ def _shift_cells(curve: ClosedCurve, k: int):
         h += H[i]  # H + (start - t0), in place
         return A[i], h, q2[i]
     return lo, hi, arcs
-
-
-def _sq(qa, h, qm, tau):
-    """Each arc's squared chord qa (tau + h)^2 + qm at shift lo + tau."""
-    v = np.add(tau, h)
-    np.square(v, out=v)
-    v *= qa
-    v += qm
-    return v
 
 
 def _start_and_bound(form, width, period, reduce):
@@ -127,6 +121,8 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     """
     if k < 1:
         raise KTooSmall("k must be >= 1")
+    if k > 4 * _BLOCK:  # a block holds >= 4 cells x k arcs: memory grows with k
+        raise OutOfRange(f"k must be <= {4 * _BLOCK} for the best-shift search, got {k}")
     if objective not in ("max", "avg"):
         raise OutOfRange(f"objective must be 'max' or 'avg', got {objective!r}")
     _require_unit(curve)
@@ -142,10 +138,8 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     # blocks of >= 2 cells (or the only one): numpy sums their k rows in order,
     # as it does over every cell at once
     cols = max(4, _BLOCK // k)
-    blocks = -(-len(lo) // cols)
-    edges = np.arange(blocks + 1) * len(lo) // blocks
     start, bound = np.empty_like(lo), np.empty_like(lo)
-    for c in map(slice, edges[:-1], edges[1:]):
+    for c in np.array_split(np.arange(len(lo)), -(-len(lo) // cols)):
         start[c], bound[c] = _start_and_bound(arcs(c), width[c], period, reduce)
     keep = bound <= start.min() * (1.0 + MIN_TIE_RTOL)
     wide = np.argmax(width)  # the widest cell sets golden_section's steps
@@ -165,20 +159,17 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
 
 
 def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:
-    if k < 3:
-        raise KTooSmall("k must be >= 3")
     t1, _ = min_chord_start(curve, s)
     short = (1.0 - s) / (k - 1)
     starts = np.concatenate(([t1], np.mod(t1 + s + np.arange(k - 1) * short, 1.0)))
-    fracs = np.concatenate(([s], np.full(k - 1, short)))
-    lengths = _piece_lengths(curve, starts, fracs)
-    arcs = tuple(Arc(float(t), float(f)) for t, f in zip(starts, fracs))
-    return Cover(arcs, lengths, tag)
+    return _cover(curve, starts, np.concatenate(([s], np.full(k - 1, short))), tag)
 
 
 def theorem2_partition(curve: ClosedCurve, k: int) -> Cover:
     """Long arc of length 1/k + (k-1)/(8k^4) at a minimum-chord start,
     plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4)."""
+    if k < 3:
+        raise KTooSmall("k must be >= 3")
     eps = 1.0 / (8.0 * k**4)
     s = 1.0 / k + (k - 1) * eps
     return _long_short_cover(curve, k, s, "theorem2")

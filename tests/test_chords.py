@@ -339,27 +339,23 @@ def test_tiny_s_relabelling_invariance(s):
 
 
 def _sampled_reference(curve, s):
-    """The 64-sample rule with each cell split by its own np.linspace call."""
+    """The sampled rule cell by cell: m = 64 p midpoints on a cell of width w,
+    p = max(1, ceil(64 w)), each weighted by w / m, summed once over all cells."""
     t0, t1, _, _, _ = _cells(curve, s)
     pieces = []
     for p, q in zip(t0, t1):
-        parts = max(1, math.ceil((q - p) * 64.0))
-        edges = np.linspace(p, q, parts + 1)
-        pieces.append(np.column_stack((edges[:-1], edges[1:])))
-    spans = np.vstack(pieces)
-    p0, p1 = spans[:, 0], spans[:, 1]
-    offs = (np.arange(64) + 0.5) / 64
-    ts = p0[:, None] + offs[None, :] * (p1 - p0)[:, None]
-    vals = chord_length(curve, ts.ravel(), s).reshape(ts.shape)
-    return float(np.sum(vals.sum(axis=1) * (p1 - p0) / 64))
+        m = 64 * max(1, math.ceil((q - p) * 64.0))
+        ts = p + (np.arange(m) + 0.5) * ((q - p) / m)
+        pieces.append(chord_length(curve, ts, s) * ((q - p) / m))
+    return float(np.sum(np.concatenate(pieces)))
 
 
-def test_sampled_split_matches_linspace(corpus, random4k):
+def test_sampled_midpoints_match_per_cell_loop(corpus, random4k):
     coarse = [corpus[name] for name in
               ("square", "rectangle_10", "random_d2", "random_d3", "random_d5")]
     coarse.append(generate(CurveSpec("regular_polygon", {"m": 5})))
-    # on this 8-vertex polygon at s = 0.05 a cell ends where parts * step + t0 != t1,
-    # and the value depends on that last edge
+    # on this 8-vertex polygon at s = 0.05 a cell's parts of width w/p do not
+    # add up to w in floating point, so where the last midpoints go shows
     coarse.append(build_curve(np.random.default_rng(250).normal(size=(8, 2)),
                               normalize=True))
     cases = [(curve, s) for curve in coarse for s in (0.05, 0.1, 0.25, 0.5)]

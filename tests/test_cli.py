@@ -8,7 +8,7 @@ import pytest
 from curvecover import (bounds, chords, cover_metrics, cover_report, load_curve,
                         optimized_partition, save_curve, solve_sk,
                         uniform_partition)
-from curvecover import cli, curveio
+from curvecover import cli, curveio, partition
 from curvecover import curve as curve_module
 from curvecover.cli import main
 
@@ -113,15 +113,15 @@ class TestPartition:
         assert main(["partition", str(tmp_path / "no.json"), "--k", "3"]) == 2
 
     @pytest.mark.parametrize("shift", ["inf", "-inf", "nan"])
-    def test_non_finite_shift(self, shift, tmp_path, capsys):
-        # rejected before the curve is read (there is none), with no warning
+    def test_non_finite_shift(self, shift, circle_file, capsys):
+        # uniform_partition rejects it before any arithmetic, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["partition", str(tmp_path / "no.json"), "--k", "3",
+            assert main(["partition", circle_file, "--k", "3",
                          f"--shift={shift}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --shift must be a finite number, got {shift}\n"
+        assert captured.err == f"error: shift must be a finite number, got {shift}\n"
 
     @pytest.mark.parametrize("shift", ["-1e-20", "1e16"])
     def test_finite_shift_far_from_zero(self, shift, circle_file, capsys):
@@ -135,7 +135,6 @@ class TestPartition:
     @pytest.mark.parametrize("argv", [
         ["sweep", "{circle}", "--k", "3", "--samples", "1000000000000000"],
         ["partition", "{circle}", "--k", "10000000000000000"],
-        ["partition", "{circle}", "--k", "10000000000000000", "--mode", "best"],
     ])
     def test_unallocatable_size(self, argv, circle_file, capsys):
         # numpy refuses these sizes before allocating anything
@@ -144,6 +143,16 @@ class TestPartition:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+
+    @pytest.mark.parametrize("k", [4 * partition._BLOCK + 1, 10**16])
+    def test_best_shift_k_limit(self, k, circle_file, capsys, monkeypatch):
+        # refused before the search builds anything: its memory grows with k
+        monkeypatch.setattr(partition, "_shift_cells", None)
+        assert main(["partition", circle_file, "--k", str(k), "--mode", "best"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: k must be <= {4 * partition._BLOCK} "
+                                f"for the best-shift search, got {k}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["partition", "{circle}", "--k", str(2**60)], "--k must be <= "),

@@ -91,6 +91,13 @@ class TestBestUniformShift:
         _, cover = best_uniform_shift(circle, 1, "max")
         assert cover_metrics(circle, cover).gamma == pytest.approx(1.0)
 
+    def test_k_above_block_limit(self, circle, monkeypatch):
+        # a block holds at least 4 cells x k arcs: refused before any is built
+        monkeypatch.setattr(partition, "_shift_cells", None)
+        k = 4 * partition._BLOCK + 1
+        with pytest.raises(OutOfRange, match=f"k must be <= {k - 1} .* got {k}"):
+            best_uniform_shift(circle, k)
+
     def test_bad_objective(self, circle):
         with pytest.raises(OutOfRange):
             best_uniform_shift(circle, 3, "median")
@@ -291,8 +298,9 @@ class TestTheorem2Partition:
                 assert m.gamma <= gamma_upper_refined(k) + 1e-6, (name, k)
 
     def test_k2_rejected(self, square):
-        with pytest.raises(KTooSmall):
-            theorem2_partition(square, 2)
+        for k in (2, 0, -1):  # k = 0 used to divide by zero before the check
+            with pytest.raises(KTooSmall, match="k must be >= 3"):
+                theorem2_partition(square, k)
 
     def test_needs_unit_length(self):
         from curvecover import build_curve
