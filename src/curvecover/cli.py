@@ -87,13 +87,10 @@ def cmd_gen(args):
         key, eq, val = kv.partition("=")
         if not eq:
             raise BadFlag(f"--params entries must be key=value, got {kv!r}")
-        try:
-            num = float(val) if "." in val or "e" in val.lower() else int(val)
+        try:  # an infinity such as 1e400 parses; the spec's value rule refuses it
+            params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
         except ValueError:
-            num = math.nan
-        if isinstance(num, float) and not math.isfinite(num):
-            raise BadFlag(f"--params values must be finite numbers, got {kv!r}")
-        params[key] = num
+            raise BadFlag(f"--params values must be finite numbers, got {kv!r}") from None
     spec = generators.CurveSpec(kind=args.kind, params=params,
                                 resolution=args.resolution, dim=args.dim,
                                 normalize=not args.no_normalize)

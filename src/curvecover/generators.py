@@ -7,12 +7,12 @@ bit-identical vertices on every platform.
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import ClosedCurve, build_curve
-from .errors import BadSpec
+from .errors import BadSpec, DegenerateCurve
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,14 +35,12 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
 
-# the params each kind reads; generate rejects any other key
-PARAMS = {"circle": (), "ellipse": ("a", "b"), "rectangle": ("aspect",),
-          "regular_polygon": ("m",), "random_closed": ("n", "seed"),
-          "lissajous3d": ("freq_a", "freq_b")}
+# each kind's params and their defaults; generate rejects any other key.  A
+# float default marks a real param, an int or None (no default) an integer one
+PARAMS = {"circle": {}, "ellipse": {"a": 2.0, "b": 1.0}, "rectangle": {"aspect": 1.0},
+          "regular_polygon": {"m": 3}, "random_closed": {"n": None, "seed": None},
+          "lissajous3d": {"freq_a": 3, "freq_b": 4}}
 KINDS = tuple(PARAMS)
-# the params that take integers, as do resolution and dim; an integral float
-# such as 4.0 is accepted
-_INTEGER_PARAMS = ("m", "n", "seed", "freq_a", "freq_b")
 _MAX_COORDS = 2**25  # the most vertices x dim generate builds: 256 MiB of floats
 
 
@@ -53,7 +51,10 @@ class CurveSpec:
     ``params`` is kind-specific: ellipse semi-axes ``a``/``b``,
     rectangle ``aspect``, polygon side count ``m``, random vertex count
     ``n`` and ``seed``, lissajous frequencies ``freq_a``/``freq_b``
-    (``PARAMS``); any other key is rejected.
+    (``PARAMS`` holds each kind's keys and defaults); any other key is
+    rejected.  Every param, ``resolution`` and ``dim`` is a finite real that
+    fits a float, never a bool or str; ``resolution``, ``dim`` and the
+    integer params must be integral (``4.0`` is accepted).
     """
 
     kind: str
@@ -63,84 +64,74 @@ class CurveSpec:
     normalize: bool = True
 
 
-def _smooth_points(spec: CurveSpec) -> np.ndarray:
-    n = spec.resolution
-    theta = 2.0 * math.pi * np.arange(n) / n
-    if spec.kind == "circle":
-        return np.column_stack((np.cos(theta), np.sin(theta)))
-    if spec.kind == "ellipse":
-        a = float(spec.params.get("a", 2.0))
-        b = float(spec.params.get("b", 1.0))
-        if a <= 0 or b <= 0:
-            raise BadSpec("ellipse semi-axes must be positive")
-        return np.column_stack((a * np.cos(theta), b * np.sin(theta)))
-    # lissajous3d
-    fa = int(spec.params.get("freq_a", 3))
-    fb = int(spec.params.get("freq_b", 4))
-    if fa < 1 or fb < 1:
-        raise BadSpec("lissajous frequencies must be positive integers")
-    return np.column_stack((np.cos(theta), np.sin(fa * theta),
-                            np.cos(fb * theta)))
+def _number(kind, name, v, real):
+    """``v`` as a float if ``real``, else as an int; BadSpec unless it is a
+    finite real, not a bool, that fits a float, and integral unless ``real``."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:
+        raise BadSpec(f"{kind} {name} does not fit a float") from None
+    if not math.isfinite(x) or not (real or x.is_integer()):
+        what = "a finite number" if real else "an integer"
+        raise BadSpec(f"{kind} {name} must be {what}, got {v!r}")
+    return x if real else int(v)
 
 
 def generate(spec: CurveSpec) -> ClosedCurve:
-    """Build the curve described by a spec; deterministic in the spec."""
-    if spec.kind not in KINDS:
-        raise BadSpec(f"unknown kind {spec.kind!r}")
-    unknown = sorted(set(spec.params) - set(PARAMS[spec.kind]))
+    """Build the curve described by a spec; deterministic in the spec.  A spec
+    it cannot build, its curve degenerate included, raises BadSpec."""
+    kind = spec.kind
+    if kind not in KINDS:
+        raise BadSpec(f"unknown kind {kind!r}")
+    unknown = sorted(set(spec.params) - set(PARAMS[kind]))
     if unknown:
-        raise BadSpec(f"{spec.kind} does not read params {unknown}; it reads "
-                      f"{list(PARAMS[spec.kind]) or 'none'}")
-    named = [(f"param {key!r}", v) for key, v in spec.params.items()
-             if key in _INTEGER_PARAMS]
-    named.append(("resolution", spec.resolution))
-    if spec.dim is not None:
-        named.append(("dim", spec.dim))
-    for name, v in named:
-        whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-        if isinstance(v, bool) or not whole:
-            raise BadSpec(f"{spec.kind} {name} must be an integer, got {v!r}")
-    spec = replace(spec, resolution=int(spec.resolution),
-                   dim=None if spec.dim is None else int(spec.dim))
-    count = {"rectangle": 4, "regular_polygon": spec.params.get("m", 3),
-             "random_closed": spec.params.get("n", 0)}.get(spec.kind, spec.resolution)
-    if count * (spec.dim or 3) > _MAX_COORDS:
-        raise BadSpec(f"{count:g} vertices x dim {spec.dim or 3} is over the cap of "
+        raise BadSpec(f"{kind} does not read params {unknown}; it reads "
+                      f"{list(PARAMS[kind]) or 'none'}")
+    p = {}
+    for key, default in PARAMS[kind].items():
+        if key not in spec.params and default is None:
+            raise BadSpec(f"{kind} needs param {key!r}")
+        p[key] = _number(kind, f"param {key!r}", spec.params.get(key, default),
+                         isinstance(default, float))
+    resolution = _number(kind, "resolution", spec.resolution, False)
+    dim = None if spec.dim is None else _number(kind, "dim", spec.dim, False)
+    count = {"rectangle": 4, "regular_polygon": p.get("m"),
+             "random_closed": p.get("n")}.get(kind, resolution)
+    if count * (dim or 3) > _MAX_COORDS:
+        raise BadSpec(f"{count:g} vertices x dim {dim or 3} is over the cap of "
                       f"{_MAX_COORDS} coordinates")
-    if spec.kind in ("circle", "ellipse", "lissajous3d"):
-        if spec.resolution < 3:
-            raise BadSpec("resolution must be >= 3")
-        pts = _smooth_points(spec)
-    elif spec.kind == "rectangle":
-        aspect = float(spec.params.get("aspect", 1.0))
-        if aspect <= 0:
-            raise BadSpec("aspect must be positive")
-        pts = np.array([[0.0, 0.0], [aspect, 0.0], [aspect, 1.0], [0.0, 1.0]])
-    elif spec.kind == "regular_polygon":
-        m = int(spec.params.get("m", 3))
-        if m < 3:
-            raise BadSpec("polygon needs at least 3 sides")
-        theta = 2.0 * math.pi * np.arange(m) / m
-        pts = np.column_stack((np.cos(theta), np.sin(theta)))
-    else:  # random_closed
-        n = int(spec.params.get("n", 0))
-        if n < 4:
-            raise BadSpec("random_closed needs n >= 4")
-        if "seed" not in spec.params:
-            raise BadSpec("random_closed needs a seed")
-        d = spec.dim if spec.dim is not None else 2
+    least = 4 if kind == "random_closed" else 3
+    if count < least:
+        raise BadSpec(f"{kind} needs at least {least} vertices, got {count}")
+    if kind != "random_closed" and min(p.values(), default=1) <= 0:
+        raise BadSpec(f"{kind} params must be positive, got {p}")
+    if kind == "rectangle":
+        pts = np.array([[0.0, 0.0], [p["aspect"], 0.0], [p["aspect"], 1.0], [0.0, 1.0]])
+    elif kind == "random_closed":
+        d = dim if dim is not None else 2
         if d < 2:
             raise BadSpec("dimension must be >= 2")
-        rng = SplitMix64(int(spec.params["seed"]))
-        pts = np.array([[rng.next_float() for _ in range(d)] for _ in range(n)])
+        rng = SplitMix64(p["seed"])
+        pts = np.array([[rng.next_float() for _ in range(d)] for _ in range(count)])
         if np.any(np.linalg.norm(np.diff(np.vstack((pts, pts[:1])), axis=0),
                                  axis=1) < 1e-12):
             raise BadSpec("seed produced coincident consecutive points")
+    else:  # sampled at theta = 2 pi j / count
+        theta = 2.0 * math.pi * np.arange(count) / count
+        if kind == "lissajous3d":
+            pts = np.column_stack((np.cos(theta), np.sin(p["freq_a"] * theta),
+                                   np.cos(p["freq_b"] * theta)))
+        else:  # circle, ellipse and polygon: (a cos, b sin), a = b = 1 but for the ellipse
+            pts = np.column_stack((p.get("a", 1.0) * np.cos(theta),
+                                   p.get("b", 1.0) * np.sin(theta)))
 
     d_in = pts.shape[1]
-    if spec.dim is not None and spec.kind != "random_closed":
-        if spec.dim < d_in:
-            raise BadSpec(f"cannot embed a {d_in}-d curve in {spec.dim} dimensions")
-        if spec.dim > d_in:
-            pts = np.hstack((pts, np.zeros((len(pts), spec.dim - d_in))))
-    return build_curve(pts, normalize=spec.normalize)
+    if dim is not None and kind != "random_closed":
+        if dim < d_in:
+            raise BadSpec(f"cannot embed a {d_in}-d curve in {dim} dimensions")
+        if dim > d_in:
+            pts = np.hstack((pts, np.zeros((len(pts), dim - d_in))))
+    try:  # such as lissajous3d at resolution 3, whose samples coincide
+        return build_curve(pts, normalize=spec.normalize)
+    except DegenerateCurve as e:
+        raise BadSpec(f"{kind} spec builds a degenerate curve: {e}") from None

@@ -611,6 +611,12 @@ class TestReportPath:
         (["--kind", "circle", "--resolution", str(10**14)], "over the cap"),
         (["--kind", "random_closed", "--params", "n=16", "seed=7", "--dim", str(10**8)],
          "over the cap"),
+        (["--kind", "regular_polygon", "--params", "m4"],
+         "--params entries must be key=value, got 'm4'"),
+        (["--kind", "ellipse", "--params", "a=1e400"],
+         "ellipse param 'a' must be a finite number, got inf"),
+        (["--kind", "circle", "--resolution", str(10**309)],
+         "circle resolution does not fit a float"),
     ])
     def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -619,6 +625,9 @@ class TestReportPath:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not out.exists()
 
+    def test_gen_empty_out(self, capsys):
+        assert main(["gen", "--kind", "circle", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: gen requires --out FILE\n"
 
     def test_gen_integral_float_param(self, tmp_path):
         paths = [tmp_path / "int.json", tmp_path / "float.json"]

@@ -1,13 +1,18 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvecover import (CurveSpec, SplitMix64, chord_length, cover_metrics,
                         generate, uniform_partition)
+from curvecover.cli import main
 from curvecover.errors import BadSpec
+from curvecover.generators import PARAMS
 
 
 class TestSplitMix64:
@@ -84,6 +89,7 @@ class TestGenerate:
         CurveSpec("circle", dim=2.5),
         CurveSpec("circle", dim=True),
         CurveSpec("random_closed", {"n": 8, "seed": 1}, dim=2.5),
+        CurveSpec("random_closed", {"n": 8, "seed": 1}, dim=1),
     ])
     def test_bad_specs(self, spec):
         with pytest.raises(BadSpec):
@@ -142,3 +148,50 @@ class TestGenerate:
     def test_unknown_params_rejected(self, kind, params, reads):
         with pytest.raises(BadSpec, match=r"reads " + re.escape(reads)):
             generate(CurveSpec(kind, params))
+
+
+# the values tried in each param, resolution and dim: 2**53 + 1 rounds to a
+# float, 10**309 does not fit one
+POOL = [0, -1, 3, 4.0, 4.5, 2**53 + 1, 10**309, math.inf, -math.inf, math.nan,
+        True, "3", None, 1j]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_spec_value_builds_or_is_refused(data, tmp_path, capsys):
+    kind = data.draw(st.sampled_from(list(PARAMS)))
+    field = data.draw(st.sampled_from([*PARAMS[kind], "resolution", "dim"]))
+    value = data.draw(st.sampled_from(POOL))
+    # at most 64 vertices x dim 3, unless the cap refuses the spec
+    spec = {"params": {"n": 8, "seed": 1} if kind == "random_closed" else {},
+            "resolution": 64, "dim": None}
+    if field in ("resolution", "dim"):
+        spec[field] = value
+    else:
+        spec["params"][field] = value
+    try:
+        assert generate(CurveSpec(kind, **spec)).n >= 3
+    except BadSpec:
+        pass
+    # on the command line every value is a string; argparse itself refuses a
+    # --resolution or --dim that is not an int, with its usage lines
+    if field in ("resolution", "dim") and type(value) is not int:
+        return
+    argv = ["gen", "--kind", kind, "--params",
+            *[f"{key}={v}" for key, v in spec["params"].items()],
+            "--resolution", str(spec["resolution"]),
+            *(["--dim", str(spec["dim"])] if spec["dim"] is not None else []),
+            "--out", str(tmp_path / "c.json")]
+    capsys.readouterr()
+    assert main(argv) in (0, 2)
+    assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
+def test_readme_lists_each_kinds_params():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| `--kind` | keys |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = [re.fullmatch(r"\| `(\w+)` \| (.+) \|", row).groups()
+            for row in table.splitlines()]
+    assert {kind: re.findall(r"`(\w+)`", keys) for kind, keys in rows} == {
+        kind: list(keys) for kind, keys in PARAMS.items()}

@@ -91,6 +91,10 @@ class TestBestUniformShift:
         _, cover = best_uniform_shift(circle, 1, "max")
         assert cover_metrics(circle, cover).gamma == pytest.approx(1.0)
 
+    def test_k_zero(self, circle):
+        with pytest.raises(KTooSmall, match="k must be >= 1"):
+            best_uniform_shift(circle, 0)
+
     def test_k_above_block_limit(self, circle, monkeypatch):
         # a block holds at least 4 cells x k arcs: refused before any is built
         monkeypatch.setattr(partition, "_shift_cells", None)
