@@ -87,9 +87,11 @@ def cmd_gen(args):
         key, eq, val = kv.partition("=")
         if not eq:
             raise BadFlag(f"--params entries must be key=value, got {kv!r}")
-        try:  # an infinity such as 1e400 parses; the spec's value rule refuses it
+        try:  # a JSON number; an infinity such as 1e400 parses, and the spec's rule refuses it
+            if not curveio._JSON_NUMBER.fullmatch(val):
+                raise ValueError(val)
             params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
-        except ValueError:
+        except ValueError:  # not a JSON number, or over int()'s digit limit
             raise BadFlag(f"--params values must be finite numbers, got {kv!r}") from None
     spec = generators.CurveSpec(kind=args.kind, params=params,
                                 resolution=args.resolution, dim=args.dim,

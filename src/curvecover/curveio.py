@@ -23,13 +23,14 @@ _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
 # vertex array must leave exactly its brackets and commas.
 _NUMBER_CHARS = b"0123456789+-.eEINafinty"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-# A CSV vertex row: JSON numbers ([0-9], not the Unicode digits of \d),
-# each padded by spaces or tabs, separated by commas; a "# dim=" value is
-# a JSON integer.
-_CSV_INT = r"[ \t]*-?(?:0|[1-9][0-9]*)"
-_CSV_FIELD = _CSV_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[ \t]*"
+# A JSON number: [0-9], not the Unicode digits of \d, no "+", "_" or padding.
+# A CSV vertex row is JSON numbers, each padded by spaces or tabs, separated
+# by commas; a "# dim=" value is a padded JSON integer.
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_NUMBER = re.compile(_JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_CSV_FIELD = rf"[ \t]*{_JSON_NUMBER.pattern}[ \t]*"
 _CSV_ROW = re.compile(rf"{_CSV_FIELD}(?:,{_CSV_FIELD})*")
-_CSV_DIM = re.compile(_CSV_INT + r"[ \t]*")
+_CSV_DIM = re.compile(rf"[ \t]*{_JSON_INT}[ \t]*")
 _decode = json.JSONDecoder().raw_decode
 
 

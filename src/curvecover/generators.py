@@ -1,8 +1,8 @@
 """Test-curve corpus: circles, ellipses, rectangles, polygons, random
 closed polylines, and a closed space curve.
 
-Random curves use an in-repo splitmix64 stream so the same spec yields
-bit-identical vertices on every platform.
+Random curves use an in-repo splitmix64 stream, drawn as one uint64 array,
+so the same spec yields bit-identical vertices on every platform.
 """
 
 import math
@@ -15,6 +15,8 @@ from .curve import ClosedCurve, build_curve
 from .errors import BadSpec, DegenerateCurve
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the state's step per draw
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # xor-shift, multiply
 
 
 class SplitMix64:
@@ -23,16 +25,28 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def _draw(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as one uint64 array: state_i = state + i
+        gamma, i = 1..count, mixed.  Every operand is uint64, so products wrap
+        mod 2^64 silently and no Python int turns them float64 (numpy < 2)."""
+        u = np.uint64
+        z = np.arange(1, count + 1, dtype=u) * u(_GAMMA)
+        z += u(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        for shift, mult in _ROUNDS:
+            z ^= z >> u(shift)
+            z *= u(mult)
+        return z ^ (z >> u(31))
+
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._draw(1)[0])
 
     def next_float(self) -> float:
-        # 53 uniform bits in [0, 1)
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return float(self.next_floats(1)[0])
+
+    def next_floats(self, count: int) -> np.ndarray:
+        """``count`` next_float draws as one array: 53 uniform bits in [0, 1) each."""
+        return (self._draw(count) >> np.uint64(11)) * 2.0**-53
 
 
 # each kind's params and their defaults; generate rejects any other key.  A
@@ -54,7 +68,8 @@ class CurveSpec:
     (``PARAMS`` holds each kind's keys and defaults); any other key is
     rejected.  Every param, ``resolution`` and ``dim`` is a finite real that
     fits a float, never a bool or str; ``resolution``, ``dim`` and the
-    integer params must be integral (``4.0`` is accepted).
+    integer params must be integral (``4.0`` is accepted).  ``normalize`` is
+    True or False, nothing read by its truth value.
     """
 
     kind: str
@@ -83,6 +98,8 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     kind = spec.kind
     if kind not in KINDS:
         raise BadSpec(f"unknown kind {kind!r}")
+    if not isinstance(spec.normalize, bool):  # by its truth value, "no" would normalize
+        raise BadSpec(f"{kind} normalize must be True or False, got {spec.normalize!r}")
     unknown = sorted(set(spec.params) - set(PARAMS[kind]))
     if unknown:
         raise BadSpec(f"{kind} does not read params {unknown}; it reads "
@@ -111,8 +128,7 @@ def generate(spec: CurveSpec) -> ClosedCurve:
         d = dim if dim is not None else 2
         if d < 2:
             raise BadSpec("dimension must be >= 2")
-        rng = SplitMix64(p["seed"])
-        pts = np.array([[rng.next_float() for _ in range(d)] for _ in range(count)])
+        pts = SplitMix64(p["seed"]).next_floats(count * d).reshape(count, d)
         if np.any(np.linalg.norm(np.diff(np.vstack((pts, pts[:1])), axis=0),
                                  axis=1) < 1e-12):
             raise BadSpec("seed produced coincident consecutive points")

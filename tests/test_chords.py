@@ -12,7 +12,7 @@ from curvecover import (CurveSpec, QuadratureConfig, average_chord,
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, min_chord_start, optimized_partition,
                         solve_sk, theorem2_partition)
-from curvecover.chords import _cells, _norm_affine_integral, _verdict, _vertex_form
+from curvecover.chords import _cells, _norm_affine_integral, _sq, _verdict, _vertex_form
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
 SAMPLED = QuadratureConfig("sampled")
@@ -162,6 +162,39 @@ def test_chord_kernel_properties(case, s, shift, scale):
     assert avg <= circle_bound(s) + 1e-12
     for other in others:
         assert average_chord(other, s) == pytest.approx(avg, rel=1e-12, abs=0.0)
+
+
+def _assert_kernel_is_geometry(curve, s):
+    """Every cell's vertex-form chord sqrt(_sq) at tau = 0, w/2 and w equals
+    chord_length at t0 + tau: to 1e-12 relative, plus a few ulp of the largest
+    coordinate or of t (a unit-speed parameter), plus the seam |cum_lengths[-1]
+    - L| (a sequential sum against a pairwise one) that point_at carries just
+    below t = 1, where it walks the last edge out to L."""
+    t0, t1, A, h, q2 = _cells(curve, s)
+    ulp = 2.0**-52 * max(1.0, np.abs(curve.vertices).max())
+    seam = abs(curve.cum_lengths[-1] - curve.length)
+    for tau in (np.zeros_like(t0), (t1 - t0) / 2, t1 - t0):
+        np.testing.assert_allclose(np.sqrt(_sq(A, h, q2, tau)),
+                                   chord_length(curve, t0 + tau, s),
+                                   rtol=1e-12, atol=4 * ulp + seam)
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.01, 0.1, 0.25, 0.37, 0.5])
+def test_kernel_chords_are_point_geometry(corpus, random4k, s):
+    for curve in [*corpus.values(), random4k]:
+        _assert_kernel_is_geometry(curve, s)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=polylines(), s=st.floats(0.0, 0.5, exclude_min=True))
+def test_kernel_chords_are_point_geometry_on_polylines(case, s):
+    pts, rot, move = case
+    try:
+        curve = build_curve(pts @ rot.T + move, normalize=True)
+    except DegenerateCurve:
+        assume(False)
+    for x in (s, 1e-6, 0.1, 0.5):
+        _assert_kernel_is_geometry(curve, x)
 
 
 def _mp_integral(a, b, T):
@@ -339,14 +372,15 @@ def test_tiny_s_relabelling_invariance(s):
 
 
 def _sampled_reference(curve, s):
-    """The sampled rule cell by cell: m = 64 p midpoints on a cell of width w,
-    p = max(1, ceil(64 w)), each weighted by w / m, summed once over all cells."""
-    t0, t1, _, _, _ = _cells(curve, s)
+    """The sampled rule cell by cell, read from the kernel's vertex form: m =
+    64 p midpoints tau on a cell of width w, p = max(1, ceil(64 w)), each chord
+    sqrt(A (tau + h)^2 + q2) weighted by w / m, summed once over all cells."""
+    t0, t1, A, h, q2 = _cells(curve, s)
     pieces = []
-    for p, q in zip(t0, t1):
+    for p, q, a, c, r in zip(t0, t1, A, h, q2):
         m = 64 * max(1, math.ceil((q - p) * 64.0))
-        ts = p + (np.arange(m) + 0.5) * ((q - p) / m)
-        pieces.append(chord_length(curve, ts, s) * ((q - p) / m))
+        tau = (np.arange(m) + 0.5) * ((q - p) / m)
+        pieces.append(np.sqrt(a * (tau + c) ** 2 + r) * ((q - p) / m))
     return float(np.sum(np.concatenate(pieces)))
 
 

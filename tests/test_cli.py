@@ -617,6 +617,11 @@ class TestReportPath:
          "ellipse param 'a' must be a finite number, got inf"),
         (["--kind", "circle", "--resolution", str(10**309)],
          "circle resolution does not fit a float"),
+    ] + [  # values a JSON number's grammar refuses, as a curve file's reader does
+        (["--kind", kind, "--params", kv], f"--params values must be finite numbers, got {kv!r}")
+        for kind, kv in [("regular_polygon", "m=1_0"), ("regular_polygon", "m=\uff13"),
+                         ("ellipse", "a=.5"), ("ellipse", "a=2."), ("regular_polygon", "m=+3"),
+                         ("regular_polygon", "m= 3"), ("ellipse", "a=inf"), ("ellipse", "a=nan")]
     ])
     def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -15,6 +16,17 @@ from curvecover.errors import BadSpec
 from curvecover.generators import PARAMS
 
 
+def _splitmix64_floats(seed, count):
+    """Textbook splitmix64 on Python ints: the floats SplitMix64 must draw."""
+    out, state = [], seed % 2**64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        out.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
+    return out
+
+
 class TestSplitMix64:
     def test_reference_stream(self):
         # splitmix64 reference outputs for seed 1234567
@@ -27,6 +39,16 @@ class TestSplitMix64:
         rng = SplitMix64(42)
         vals = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_array_draw_is_the_scalar_stream(self, seed):
+        ref = _splitmix64_floats(seed, 5000)
+        rng = SplitMix64(seed)
+        assert [rng.next_float() for _ in range(5000)] == ref
+        for count in range(1, 5001):
+            assert SplitMix64(seed).next_floats(count).tolist() == ref[:count], count
+        rng = SplitMix64(seed)  # a draw leaves the state where the stream goes on
+        assert rng.next_floats(3).tolist() + [rng.next_float()] == ref[:4]
 
 
 class TestGenerate:
@@ -60,6 +82,12 @@ class TestGenerate:
         a, b = generate(spec), generate(spec)
         assert np.array_equal(a.vertices, b.vertices)
 
+    def test_random_closed_bits_pinned(self):
+        # the vertices as the scalar splitmix64 stream drew them, one by one
+        c = generate(CurveSpec("random_closed", {"n": 4096, "seed": 7}, dim=5))
+        assert hashlib.sha256(c.vertices.tobytes()).hexdigest() == (
+            "3454e39f65856e83ac9a1e0997094f3cceaadcbf0b7f038592ca7d99284615f9")
+
     def test_dimension_padding(self):
         c = generate(CurveSpec("circle", dim=4, resolution=64))
         assert c.dim == 4
@@ -90,6 +118,10 @@ class TestGenerate:
         CurveSpec("circle", dim=True),
         CurveSpec("random_closed", {"n": 8, "seed": 1}, dim=2.5),
         CurveSpec("random_closed", {"n": 8, "seed": 1}, dim=1),
+        CurveSpec("regular_polygon", {"m": 6}, normalize="no"),
+        CurveSpec("regular_polygon", {"m": 6}, normalize=None),
+        CurveSpec("regular_polygon", {"m": 6}, normalize=1),
+        CurveSpec("regular_polygon", {"m": 6}, normalize=0.0),
     ])
     def test_bad_specs(self, spec):
         with pytest.raises(BadSpec):
