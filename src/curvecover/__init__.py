@@ -4,13 +4,12 @@ from .bounds import (BoundsRow, beta_extremal, bkk_table, gamma_upper_refined,
                      gamma_upper_simple, idle_time_lower, rendered_rows,
                      sin_taylor_upper, solve_sk, table1)
 from .chords import QuadratureConfig, average_chord, golden_section, min_chord_start
-from .curve import (Arc, ClosedCurve, build_curve, chord_length,
-                    cover_piece_length, point_at)
+from .curve import ClosedCurve, build_curve, chord_length, point_at
 from .curveio import load_curve, save_curve
 from .generators import CurveSpec, SplitMix64, generate
-from .partition import (Cover, CoverMetrics, best_uniform_shift, cover_metrics,
-                        cover_report, optimized_partition, theorem2_partition,
-                        uniform_partition)
+from .partition import (Arc, Cover, CoverMetrics, best_uniform_shift, cover_metrics,
+                        cover_piece_length, cover_report, optimized_partition,
+                        theorem2_partition, uniform_partition)
 
 __all__ = [
     "Arc", "BoundsRow", "ClosedCurve", "Cover", "CoverMetrics", "CurveSpec",

@@ -27,9 +27,7 @@ import sys
 
 import numpy as np
 
-from . import bounds as bnd
-from . import chords, curveio, generators, partition as part
-from .curve import _piece_lengths
+from . import bounds as bnd, chords, curveio, generators, partition as part
 from .errors import BadFlag, CurveCoverError
 
 
@@ -137,7 +135,7 @@ def cmd_sweep(args):
     # row j is the uniform cover with shift j / (k samples)
     shifts = np.arange(args.samples) / (k * args.samples)
     starts = np.mod(shifts[:, None] + np.arange(k) / k, 1.0)
-    lengths = _piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
+    lengths = part._piece_lengths(curve, starts, np.full(starts.shape, 1.0 / k))
     betas = lengths.sum(axis=1) / (k * curve.length)
     gammas = lengths.max(axis=1) / curve.length
     rows = [{"shift": a, "beta": b, "gamma": g} for a, b, g in
@@ -225,16 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_parser = None  # built by the first main() call, reused by later ones
+_parser = build_parser()  # built once, at import; every main() call reuses it
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        # looked up per call, so a handler rebound after the first call runs
+        # looked up per call, so a handler rebound after import runs
         report = globals()["cmd_" + args.command](args)
         if report is None:  # gen wrote its curve file
             return 0

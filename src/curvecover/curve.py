@@ -7,11 +7,12 @@ functions accept scalar or array parameters and are pure.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, DimensionMismatch, OutOfRange
+from .errors import DegenerateCurve, DimensionMismatch
 
 # Consecutive vertices closer than this times the bounding-box diagonal are
 # merged during construction.
@@ -43,7 +44,7 @@ class ClosedCurve:
     length: float
     input_length: float
     # Unit tangent of each edge, precomputed for point queries.
-    _tangents: np.ndarray = field(repr=False, default=None)
+    _tangents: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -96,6 +97,17 @@ def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _coordinate(x) -> float:
+    """An element of an object array as a float: DegenerateCurve unless it is
+    a number, not a bool or complex, that float() takes."""
+    if isinstance(x, numbers.Number) and not isinstance(x, (bool, complex, np.complexfloating)):
+        try:
+            return float(x)
+        except (OverflowError, ValueError):  # beyond 1.8e308, Decimal("sNaN")
+            pass
+    raise DegenerateCurve(f"coordinates must be real numbers that fit a float, got {x!r}")
+
+
 def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     """Build a closed curve from an (n, d) array-like of vertices.
 
@@ -113,16 +125,14 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         If the input is not an (n, d) array (ragged rows included) or
         d < 2.
     DegenerateCurve
-        If there are no vertices, a coordinate is NaN or infinite, fewer
-        than 3 distinct vertices remain, or L is 0 or overflows to inf.
+        If there are no vertices, a coordinate is not a real number that
+        fits a float (a bool, str, bytes or complex one) or is not finite,
+        fewer than 3 distinct vertices remain, or L is 0 or overflows to inf.
     """
     try:
-        arr = np.array(vertices, dtype=float, order="C")
-    except ValueError:
-        if len({np.shape(p) for p in vertices}) > 1:
-            raise DimensionMismatch(
-                "all vertices must have the same dimension") from None
-        raise
+        arr = np.array(vertices)
+    except ValueError:  # numpy refuses ragged rows
+        raise DimensionMismatch("all vertices must have the same dimension") from None
     if arr.ndim >= 1 and arr.shape[0] == 0:
         raise DegenerateCurve("no vertices")
     if arr.ndim != 2:
@@ -130,6 +140,11 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
             f"vertices must form an (n, d) array, got shape {arr.shape}")
     if arr.shape[1] < 2:
         raise DimensionMismatch(f"dimension must be >= 2, got {arr.shape[1]}")
+    if arr.dtype.kind == "O":  # such as Decimal, Fraction or an int beyond int64
+        arr = np.array([_coordinate(x) for x in arr.flat]).reshape(arr.shape)
+    elif arr.dtype.kind not in "iuf":
+        raise DegenerateCurve(f"coordinates must be real numbers, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=float, order="C")
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")
     # Edges are measured on the vertices over 2^e > max |coordinate|: exact
@@ -163,20 +178,6 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     return ClosedCurve(arr, cum, math.ldexp(total, e), input_length, tangents)
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Connected sub-piece of a curve: start parameter plus a length fraction."""
-
-    t_start: float
-    length_frac: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_start < 1.0):
-            raise OutOfRange(f"t_start must lie in [0, 1), got {self.t_start}")
-        if not (0.0 < self.length_frac <= 1.0):
-            raise OutOfRange(f"length_frac must lie in (0, 1], got {self.length_frac}")
-
-
 def point_at(curve: ClosedCurve, t):
     """Point at normalized parameter t (scalar or array), 1-periodic."""
     tt = np.mod(np.asarray(t, dtype=float), 1.0)
@@ -192,18 +193,3 @@ def chord_length(curve: ClosedCurve, t, s):
     a = point_at(curve, t)
     b = point_at(curve, np.asarray(t, dtype=float) + s)
     return np.linalg.norm(b - a, axis=-1)
-
-
-def _piece_lengths(curve: ClosedCurve, starts, fracs) -> np.ndarray:
-    """``cover_piece_length`` of each arc (starts, fracs), as an array."""
-    chords = np.where(fracs >= 1.0, 0.0, chord_length(curve, starts, fracs))
-    return fracs * curve.length + chords
-
-
-def cover_piece_length(curve: ClosedCurve, arc: Arc) -> float:
-    """Length of the closed curve formed by an arc plus its endpoint chord.
-
-    A full arc (length_frac == 1) closes on itself and contributes no
-    chord.
-    """
-    return float(_piece_lengths(curve, arc.t_start, arc.length_frac))

@@ -112,6 +112,8 @@ def generate(spec: CurveSpec) -> ClosedCurve:
                          isinstance(default, float))
     resolution = _number(kind, "resolution", spec.resolution, False)
     dim = None if spec.dim is None else _number(kind, "dim", spec.dim, False)
+    if dim is not None and dim < 2:
+        raise BadSpec(f"{kind} dim must be >= 2, got {dim}")
     count = {"rectangle": 4, "regular_polygon": p.get("m"),
              "random_closed": p.get("n")}.get(kind, resolution)
     if count * (dim or 3) > _MAX_COORDS:
@@ -125,9 +127,7 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     if kind == "rectangle":
         pts = np.array([[0.0, 0.0], [p["aspect"], 0.0], [p["aspect"], 1.0], [0.0, 1.0]])
     elif kind == "random_closed":
-        d = dim if dim is not None else 2
-        if d < 2:
-            raise BadSpec("dimension must be >= 2")
+        d = dim or 2
         pts = SplitMix64(p["seed"]).next_floats(count * d).reshape(count, d)
         if np.any(np.linalg.norm(np.diff(np.vstack((pts, pts[:1])), axis=0),
                                  axis=1) < 1e-12):
@@ -142,7 +142,7 @@ def generate(spec: CurveSpec) -> ClosedCurve:
                                    p.get("b", 1.0) * np.sin(theta)))
 
     d_in = pts.shape[1]
-    if dim is not None and kind != "random_closed":
+    if dim is not None:
         if dim < d_in:
             raise BadSpec(f"cannot embed a {d_in}-d curve in {dim} dimensions")
         if dim > d_in:

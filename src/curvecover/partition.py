@@ -1,4 +1,4 @@
-"""Cover constructions and their quality metrics.
+"""Cover pieces, the cover constructions and their quality metrics.
 
 Three ways to cover a closed curve with k closed curves, each an arc of
 the original plus the chord joining its endpoints:
@@ -16,6 +16,7 @@ construction bounds.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,44 @@ import numpy as np
 from . import bounds
 from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _sq, _verdict, golden_section,
                      min_chord_start)
-# chord_length unused: perfbench/selftest.py checks its tracer binding here
-from .curve import Arc, ClosedCurve, _piece_lengths, chord_length  # noqa: F401
+from .curve import ClosedCurve, chord_length
 from .errors import KTooSmall, NotAPartition, OutOfRange
 
 PARTITION_TOL = 1e-9
 _BLOCK = 2**15  # elements (arcs x cells) in one block of the shift search
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Connected sub-piece of a curve: start parameter plus a length fraction."""
+
+    t_start: float
+    length_frac: float
+
+    def __post_init__(self):
+        for name, v in (("t_start", self.t_start), ("length_frac", self.length_frac)):
+            # a float, as every cover passes, skips the slower ABC check; np.bool_ is no Real
+            if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise OutOfRange(f"{name} must be a real number, got {v!r}")
+        if not (0.0 <= self.t_start < 1.0):
+            raise OutOfRange(f"t_start must lie in [0, 1), got {self.t_start}")
+        if not (0.0 < self.length_frac <= 1.0):
+            raise OutOfRange(f"length_frac must lie in (0, 1], got {self.length_frac}")
+
+
+def _piece_lengths(curve: ClosedCurve, starts, fracs) -> np.ndarray:
+    """``cover_piece_length`` of each arc (starts, fracs), as an array."""
+    chords = np.where(fracs >= 1.0, 0.0, chord_length(curve, starts, fracs))
+    return fracs * curve.length + chords
+
+
+def cover_piece_length(curve: ClosedCurve, arc: Arc) -> float:
+    """Length of the closed curve formed by an arc plus its endpoint chord.
+
+    A full arc (length_frac == 1) closes on itself and contributes no
+    chord.
+    """
+    return float(_piece_lengths(curve, arc.t_start, arc.length_frac))
 
 
 @dataclass(frozen=True)
@@ -88,19 +121,6 @@ def _shift_cells(curve: ClosedCurve, k: int):
     return lo, hi, arcs
 
 
-def _start_and_bound(form, width, period, reduce):
-    """Each cell's cost at its start and its bound: ``reduce`` over the arcs of
-    their values at lo and of their least values on the cell, less a slack."""
-    qa, h, _ = form
-    sq0 = _sq(*form, 0.0)  # at lo, as lo - lo = 0
-    low = _sq(*form, np.clip(-h, 0.0, width))
-    # the slack 2e-13 (qa/k^2 + sq0): on the cell sq <= 2 (qa/k^2 + sq0), and its
-    # rounding, also at the search's points a few ulp past the cell end, is a few
-    # ulp of that; max and sums are monotone, so the bound stays below the cost
-    low -= 2e-13 * (qa * period**2 + sq0)
-    return reduce(sq0), reduce(np.maximum(low, 0.0, out=low))
-
-
 def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     """Shift minimizing gamma (``max``) or beta (``avg``) of the uniform cover.
 
@@ -136,11 +156,20 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
         return v.max(axis=0) if objective == "max" else np.sqrt(v, out=v).sum(axis=0)
 
     # blocks of >= 2 cells (or the only one): numpy sums their k rows in order,
-    # as it does over every cell at once
+    # as it does over every cell at once.  Each cell's cost at its start and its
+    # bound: reduce over the arcs of their values at lo and of their least
+    # values on the cell, less a slack
     cols = max(4, _BLOCK // k)
     start, bound = np.empty_like(lo), np.empty_like(lo)
     for c in np.array_split(np.arange(len(lo)), -(-len(lo) // cols)):
-        start[c], bound[c] = _start_and_bound(arcs(c), width[c], period, reduce)
+        qa, h, _ = form = arcs(c)
+        sq0 = _sq(*form, 0.0)  # at lo, as lo - lo = 0
+        low = _sq(*form, np.clip(-h, 0.0, width[c]))
+        # the slack 2e-13 (qa/k^2 + sq0): on the cell sq <= 2 (qa/k^2 + sq0), and its
+        # rounding, also at the search's points a few ulp past the cell end, is a few
+        # ulp of that; max and sums are monotone, so the bound stays below the cost
+        low -= 2e-13 * (qa * period**2 + sq0)
+        start[c], bound[c] = reduce(sq0), reduce(np.maximum(low, 0.0, out=low))
     keep = bound <= start.min() * (1.0 + MIN_TIE_RTOL)
     wide = np.argmax(width)  # the widest cell sets golden_section's steps
     keep[wide] = False

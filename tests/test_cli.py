@@ -622,7 +622,7 @@ class TestReportPath:
         for kind, kv in [("regular_polygon", "m=1_0"), ("regular_polygon", "m=\uff13"),
                          ("ellipse", "a=.5"), ("ellipse", "a=2."), ("regular_polygon", "m=+3"),
                          ("regular_polygon", "m= 3"), ("ellipse", "a=inf"), ("ellipse", "a=nan")]
-    ])
+    ] + [(["--kind", "circle", "--dim", "1"], "circle dim must be >= 2, got 1")])
     def test_gen_rejects_spec(self, params, message, tmp_path, capsys):
         out = tmp_path / "c.json"
         assert main(["gen"] + params + ["--out", str(out)]) == 2

@@ -1,4 +1,7 @@
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +104,46 @@ class TestBuildCurve:
         c = build_curve(pts)
         pts[0, 0] = 5.0
         assert c.vertices[0, 0] == 0.0
+
+    # bool, str, bytes and complex arrays are refused whole, naming the dtype
+    @pytest.mark.parametrize("pts, dtype", [
+        ([(True, False), (True, True), (False, True)], "bool"),
+        ([(False, False), (True, False), (False, True), (True, True)], "bool"),
+        ([("0", "0"), ("1", "0"), ("0", "1")], "<U"),
+        ([(0, 0), ("a", 0), (0, 1)], "<U"),
+        ([(b"0", b"0"), (b"1", b"0"), (b"0", b"1")], "|S"),
+        ([(0, 0), (1, 0), (0, 1j)], "complex"),
+        (np.array(SQUARE).astype("m8[s]"), "timedelta64"),
+    ])
+    def test_non_real_dtype_refused(self, pts, dtype):
+        with pytest.raises(DegenerateCurve,
+                           match=re.escape(f"coordinates must be real numbers, got dtype {dtype}")):
+            build_curve(pts)
+
+    # an object array (a Decimal forces one) is read element by element
+    @pytest.mark.parametrize("bad", [10**400, -10**400, Fraction(10**400), None, "1", b"1",
+                                     True, np.bool_(True), 1j, Decimal("sNaN")],
+                             ids=["int-1e400", "int-neg-1e400", "fraction-1e400", "none",
+                                  "str", "bytes", "bool", "numpy-bool", "complex", "snan"])
+    def test_non_real_element_refused(self, bad):
+        pts = [(Decimal(0), 0), (1, 0), (0, bad)]
+        with pytest.raises(DegenerateCurve, match="coordinates must be real numbers that fit "
+                                                  "a float, got " + re.escape(repr(bad)[:20])):
+            build_curve(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (3, 0), (3, 4), (1, 5)],
+        np.array([(0, 0), (3, 0), (3, 4), (1, 5)], dtype=np.int64),
+        np.array([(0.1, 0), (3.3, 0.2), (2.9, 4.1), (1, 5)], dtype=np.float32),
+        [(Decimal("0.1"), 0), (Decimal("3.3"), Decimal("0.2")), (2.9, 4.1), (1, 5)],
+        [(Fraction(1, 3), 0), (3, Fraction(1, 7)), (Fraction(29, 10), 4.1), (1, 5)],
+        [(0, 0), (2**70 + 1, 0), (2**70, 2**64 + 3), (0, 2**63 + 5)],
+    ])
+    def test_real_coordinates_keep_their_bits(self, pts):
+        want = build_curve([[float(x) for x in row] for row in pts])
+        got = build_curve(pts)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.cum_lengths.tobytes() == want.cum_lengths.tobytes()
 
 
 def _over_power_of_two(pts):
@@ -248,6 +291,18 @@ class TestCoverPieceLength:
             Arc(0.0, 0.0)
         with pytest.raises(OutOfRange):
             Arc(-0.1, 0.5)
+
+    @pytest.mark.parametrize("t, frac", [
+        (0.0, True), (True, 0.5), (np.bool_(False), 0.5), (0.1, np.bool_(True)),
+        (0.1, "0.5"), ("0", 0.5), (0.1, 1j), (None, 0.5), (0.1, Decimal("0.5"))])
+    def test_arc_refuses_non_reals(self, t, frac):
+        with pytest.raises(OutOfRange, match="must be a real number, got "):
+            Arc(t, frac)
+
+    def test_arc_takes_reals(self, circle):
+        arc = Arc(Fraction(1, 10), np.float32(0.25))
+        assert cover_piece_length(circle, arc) == cover_piece_length(
+            circle, Arc(0.1, float(np.float32(0.25))))
 
 
 @settings(max_examples=200, deadline=None)

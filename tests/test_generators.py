@@ -127,6 +127,18 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             generate(spec)
 
+    @pytest.mark.parametrize("kind, params, dim", [
+        ("circle", {}, 1), ("circle", {}, 0), ("lissajous3d", {}, 1.0),
+        ("random_closed", {"n": 8, "seed": 1}, 1), ("random_closed", {"n": 8, "seed": 1}, -3)])
+    def test_dim_below_two_refused(self, kind, params, dim):
+        msg = f"{kind} dim must be >= 2, got {int(dim)}"
+        with pytest.raises(BadSpec, match=re.escape(msg) + "$"):
+            generate(CurveSpec(kind, params, dim=dim))
+
+    def test_dim_below_the_curves_own(self):
+        with pytest.raises(BadSpec, match="cannot embed a 3-d curve in 2 dimensions"):
+            generate(CurveSpec("lissajous3d", dim=2))
+
     @pytest.mark.parametrize("spec", [
         CurveSpec("regular_polygon", {"m": 1e30}),
         CurveSpec("circle", resolution=10**14),
