@@ -26,6 +26,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # global minimum tie, and the smallest start among them wins.
 MIN_TIE_RTOL = 1e-12
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
+_BLOCK = 2**14  # cells formed and read at once, so temporaries do not grow with n
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,12 @@ def _require_unit(curve: ClosedCurve):
         raise NotNormalized(f"curve length {curve.length} is not 1 within {UNIT_LENGTH_TOL}")
 
 
-def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):
+def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: np.ndarray):
     """(a, b) with r(t+s) - r(t) = a + b (t - t0) on the 1-D cells [t0, t1] of
     ``_cells``, where t and t+s each stay on one edge; a and b are (cells, d).
-    a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0."""
-    u, vtx, tan = curve.params, curve.vertices, curve._tangents
+    a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0.
+    u is ``curve.params``, which ``_cells`` forms once for all its blocks."""
+    vtx, tan = curve.vertices, curve._tangents
     mids = 0.5 * (t0 + t1)
     i = np.clip(np.searchsorted(u, mids, side="right") - 1, 0, curve.n - 1)
     wrap = mids + s >= 1.0  # t + s runs past 1 on this cell, and t0 >= 1/2
@@ -71,14 +73,23 @@ def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray):
     return a, ej - ei
 
 
+def _blocks(n: int):
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+
+
 def _cells(curve: ClosedCurve, s: float):
     """Sorted cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex,
     with r(t+s) - r(t) = a + b (t - t0) on each in the vertex form that every
-    per-s reader reads as it is: (t0, t1, A, h, q2)."""
-    u = curve.params[:-1]
-    brk = np.unique(np.concatenate((u, np.mod(u - s, 1.0), [0.0, 1.0])))
+    per-s reader reads as it is: (t0, t1, A, h, q2), formed a block at a time."""
+    u = curve.params
+    brk = np.concatenate((u[:-1], np.mod(u[:-1] - s, 1.0), [0.0, 1.0]))
+    brk.sort()  # np.unique, in place
+    brk = brk[np.concatenate(([True], brk[1:] != brk[:-1]))]
     t0, t1 = brk[:-1], brk[1:]
-    return (t0, t1) + _vertex_form(*_affine_at(curve, s, t0, t1))
+    A, h, q2 = np.empty((3, len(t0)))
+    for c in _blocks(len(t0)):
+        A[c], h[c], q2[c] = _vertex_form(*_affine_at(curve, s, t0[c], t1[c], u))
+    return t0, t1, A, h, q2
 
 
 def _ratio(num, den, empty=0.0):
@@ -143,9 +154,9 @@ def average_chord(curve: ClosedCurve, s: float,
         raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
     if s == 0.0:
         return 0.0
-    t0, t1, *form = _cells(curve, s)
     if cfg.mode == "exact-piecewise":
-        return float(np.sum(_norm_affine_integral(*form, t1 - t0)))
+        return _exact_average(*_cells(curve, s))
+    t0, t1, *form = _cells(curve, s)
     # sampled: composite midpoint on the same cells, read from the same vertex
     # form: 64 p equal steps on a cell of width w, p = max(1, ceil(64 w)), so
     # the rule stays within 1e-6 of the closed form (coarse polygons).  Row r
@@ -159,6 +170,13 @@ def average_chord(curve: ClosedCurve, s: float,
     np.sqrt(chords, out=chords)
     chords *= step
     return float(np.sum(chords))
+
+
+def _exact_average(t0, t1, A, h, q2):  # the exact average chord on the cells of _cells
+    parts = np.empty(len(t0))
+    for c in _blocks(len(t0)):
+        parts[c] = _norm_affine_integral(A[c], h[c], q2[c], t1[c] - t0[c])
+    return float(np.sum(parts))
 
 
 def golden_section(f, a, b):
@@ -201,18 +219,20 @@ def min_chord_start(curve: ClosedCurve, s: float):
 
 
 def _least_chord(t0, t1, A, h, q2):  # min_chord_start on the cells of _cells
-    tau = np.clip(-h, 0.0, t1 - t0)
-    chords = np.sqrt(_sq(A, h, q2, tau))
+    chords = np.empty(len(t0))
+    for c in _blocks(len(t0)):
+        chords[c] = _sq(A[c], h[c], q2[c], np.clip(-h[c], 0.0, t1[c] - t0[c]))
+    np.sqrt(chords, out=chords)
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
-    return float(t0[i] + tau[i]) % 1.0, float(chords[i])
+    return float(t0[i] + min(max(-h[i], 0.0), t1[i] - t0[i])) % 1.0, float(chords[i])
 
 
 def _both_chords(curve: ClosedCurve, s: float):
     """(average_chord, *min_chord_start) at s from one pass of ``_cells``."""
     if not (0.0 < s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
         return average_chord(curve, s), None, None  # 0.0, or average_chord's error
-    t0, t1, *form = cells = _cells(curve, s)
-    return float(np.sum(_norm_affine_integral(*form, t1 - t0))), *_least_chord(*cells)
+    cells = _cells(curve, s)
+    return _exact_average(*cells), *_least_chord(*cells)
 
 
 def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):

@@ -250,7 +250,7 @@ def main(argv=None) -> int:
                       for name, values in doc["rendered"].items()]
         text = "\n".join(lines) + "\n"
         if args.out:
-            curveio._write_text(args.out, text)
+            curveio._write_text(args.out, [text])
         else:
             sys.stdout.write(text)
     except (CurveCoverError, MemoryError) as e:

@@ -144,6 +144,10 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         arr = np.array([_coordinate(x) for x in arr.flat]).reshape(arr.shape)
     elif arr.dtype.kind not in "iuf":
         raise DegenerateCurve(f"coordinates must be real numbers, got dtype {arr.dtype}")
+    elif not isinstance(vertices, np.ndarray):  # np.array reads a bool among numbers as one
+        items = np.array(vertices, dtype=object).ravel()
+        if not {bool, np.bool_}.isdisjoint(map(type, items)):
+            _coordinate(next(x for x in items if isinstance(x, (bool, np.bool_))))  # refuses it
     arr = np.asarray(arr, dtype=float, order="C")
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")

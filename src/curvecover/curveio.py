@@ -9,6 +9,7 @@ vertex per line, each field a JSON number.
 
 import json
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
 # The characters of JSON numbers, NaN and Infinity: with them deleted, the
 # vertex array must leave exactly its brackets and commas.
 _NUMBER_CHARS = b"0123456789+-.eEINafinty"
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # A JSON number: [0-9], not the Unicode digits of \d, no "+", "_" or padding.
 # A CSV vertex row is JSON numbers, each padded by spaces or tabs, separated
 # by commas; a "# dim=" value is a padded JSON integer.
@@ -32,28 +32,36 @@ _CSV_FIELD = rf"[ \t]*{_JSON_NUMBER.pattern}[ \t]*"
 _CSV_ROW = re.compile(rf"{_CSV_FIELD}(?:,{_CSV_FIELD})*")
 _CSV_DIM = re.compile(rf"[ \t]*{_JSON_INT}[ \t]*")
 _decode = json.JSONDecoder().raw_decode
+_ROWS = 2**14  # vertex rows formatted at once when a curve is saved
+_CHUNK = 2**20  # characters of a vertex array compacted, or parsed, at once
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, chunks) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            for chunk in chunks:
+                f.write(chunk)
     except OSError as e:
         raise FileError(f"cannot write {path}: {e.strerror}") from e
 
 
 def save_curve(curve: ClosedCurve, path) -> None:
-    """Write a curve file: CSV if the suffix is .csv (any case), else JSON."""
+    """Write a curve file: CSV if the suffix is .csv (any case), else JSON.
+
+    ``_ROWS`` vertices are formatted at a time, each coordinate as its repr,
+    as ``json.dumps`` writes a float: the JSON is ``json.dumps`` of the document.
+    """
+    fields = ["%r"] * curve.dim
     if Path(path).suffix.lower() == ".csv":
-        lines = [f"# dim={curve.dim}"]
-        lines += [",".join(repr(float(x)) for x in v) for v in curve.vertices]
-        _write_text(path, "\n".join(lines) + "\n")
+        head, row, sep, tail = f"# dim={curve.dim}\n", ",".join(fields) + "\n", "", ""
     else:
-        doc = {
-            "dim": curve.dim,
-            "length_normalized": curve.is_unit_length,
-            "vertices": curve.vertices.tolist(),
-        }
-        _write_text(path, json.dumps(doc) + "\n")
+        head = json.dumps({"dim": curve.dim, "length_normalized": curve.is_unit_length,
+                           "vertices": []})[:-2]
+        row, sep, tail = "[" + ", ".join(fields) + "]", ", ", "]}\n"
+    rows = (curve.vertices[i:i + _ROWS] for i in range(0, curve.n, _ROWS))
+    body = (sep * (i > 0) + sep.join([row] * len(v)) % tuple(v.ravel().tolist())
+            for i, v in enumerate(rows))
+    _write_text(path, chain([head], body, [tail]))
 
 
 def _vertex_span(text: str):
@@ -86,29 +94,39 @@ def _vertex_span(text: str):
             return span
 
 
-def _vertex_rows(block: bytes, dim) -> np.ndarray:
-    """Parse a JSON array of rows of ``dim`` numbers into an (n, dim) array.
-
-    The brackets and commas are checked over the bytes; the coordinates
-    are read by one ``json.loads`` of the flat array, so each is the float
-    ``json.loads`` gives for it in the nested array.
+def _vertex_rows(text: str, a: int, b: int, dim) -> np.ndarray:
+    """Parse the JSON array of rows of ``dim`` numbers at text[a:b] into an
+    (n, dim) array.  Its brackets and commas are checked whole, then its
+    coordinates are read by ``json.loads`` of the flat array, ``_CHUNK``
+    characters of whole rows at a time: each is the float ``json.loads``
+    gives for it in the nested array.
     """
-    compact = block.translate(None, b" \t\n\r")
-    delims = compact.translate(None, _NUMBER_CHARS)
+    delims, joins, tail = bytearray(), 0, b""  # "],[" in the array without whitespace
+    for i in range(a, b, _CHUNK):
+        part = text[i:min(i + _CHUNK, b)].encode().translate(None, b" \t\n\r")
+        delims += part.translate(None, _NUMBER_CHARS)
+        joins += part.count(b"],[") + (tail + part[:2]).count(b"],[")
+        tail = (tail + part[-2:])[-2:]
     if delims.translate(None, b"[],"):
         raise ValueError("vertex coordinates must be JSON numbers")
     _check_dim(dim, delims.count(b",", 0, delims.find(b"]")) + 1)
     row = b"[" + b"," * (dim - 1) + b"]"
     n = (len(delims) - 1) // (len(row) + 1)
     if (delims != b"[" + (row + b",") * (n - 1) + row + b"]"
-            or not compact.startswith(b"[[") or compact.count(b"],[") != n - 1):
+            or not text.startswith("[", _WS.match(text, a + 1).end()) or joins != n - 1):
         raise ValueError(f"'vertices' is not an array of rows of {dim} numbers")
-    del compact, delims  # about 11 MB on a 262,144-vertex file
-    # With the brackets turned into spaces, a number split by whitespace
-    # or a missing entry still fails the parse.
-    values = json.loads(
-        (b"[" + block[1:-1].translate(_BRACKETS_TO_SPACES) + b"]").decode())
-    return np.array(values, dtype=float).reshape(n, dim)
+    # A chunk runs from a "[" to a row's "]" _CHUNK on, or the array's; with the brackets
+    # turned into spaces, a number split by whitespace or a missing entry still fails.
+    values, k, i = np.empty(n * dim), 0, a
+    while i < b:
+        end = text.find("]", min(i + _CHUNK, b - 1), b)  # a row's "]", or the array's
+        try:
+            chunk = json.loads("[" + text[i + 1:end].replace("[", " ").replace("]", " ") + "]")
+        except json.JSONDecodeError as e:
+            raise json.JSONDecodeError(e.msg, text, i + e.pos)
+        values[k:k + len(chunk)] = chunk
+        k, i = k + len(chunk), text.find("[", end, b) % (b + 1)  # b after the last row
+    return values.reshape(n, dim)
 
 
 def _json_vertices(text: str) -> np.ndarray:
@@ -117,15 +135,12 @@ def _json_vertices(text: str) -> np.ndarray:
         json.loads(text)  # malformed JSON is reported first
         raise ValueError("no top-level 'vertices' array of vertex rows")
     a, b = span
-    # Both parses see shifted text; their errors get the file's positions.
+    # The rest is parsed with the array replaced by []: errors get the file's positions.
     try:
         doc = json.loads(text[:a] + "[]" + text[b:])
     except json.JSONDecodeError as e:
         raise json.JSONDecodeError(e.msg, text, e.pos + (b - a - 2) * (e.pos > a))
-    try:
-        return _vertex_rows(text[a:b].encode(), doc["dim"])
-    except json.JSONDecodeError as e:
-        raise json.JSONDecodeError(e.msg, text, a + e.pos)
+    return _vertex_rows(text, a, b, doc["dim"])
 
 
 def _csv_vertices(text: str) -> np.ndarray:
@@ -168,6 +183,7 @@ def load_curve(path, normalize: bool = False) -> ClosedCurve:
             verts = _json_vertices(text)
         else:
             verts = _csv_vertices(text)
+        del text  # the file text goes before build_curve's arrays come
         return build_curve(verts, normalize=normalize)
     except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise FileError(f"cannot parse curve file {path}: {e}") from e

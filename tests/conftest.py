@@ -38,3 +38,11 @@ def square(corpus):
 def random4k():
     """A 4,096-vertex random closed curve in R^5, where grid searches miss."""
     return generate(CurveSpec("random_closed", {"n": 4096, "seed": 7}, dim=5))
+
+
+@pytest.fixture(scope="session")
+def ellipse262k():
+    """The 262,144-vertex unit-length 2:1 ellipse: many blocks of cells and
+    many parse chunks of its file."""
+    return generate(CurveSpec("ellipse", {"a": 2.0, "b": 1.0}, resolution=262144,
+                              normalize=True))

@@ -12,7 +12,8 @@ from curvecover import (CurveSpec, QuadratureConfig, average_chord,
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, min_chord_start, optimized_partition,
                         solve_sk, theorem2_partition)
-from curvecover.chords import _cells, _norm_affine_integral, _sq, _verdict, _vertex_form
+from curvecover.chords import (MIN_TIE_RTOL, _affine_at, _both_chords, _cells,
+                               _norm_affine_integral, _sq, _verdict, _vertex_form)
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
 SAMPLED = QuadratureConfig("sampled")
@@ -395,6 +396,52 @@ def test_sampled_midpoints_match_per_cell_loop(corpus, random4k):
     cases = [(curve, s) for curve in coarse for s in (0.05, 0.1, 0.25, 0.5)]
     for curve, s in cases + [(random4k, 0.25)]:
         assert average_chord(curve, s, SAMPLED) == _sampled_reference(curve, s), s
+
+
+@pytest.fixture(scope="module")
+def random_d5_32k():
+    """A random polyline in R^5 over 2^15 cells: several blocks of _cells."""
+    return generate(CurveSpec("random_closed", {"n": 20000, "seed": 5}, dim=5, normalize=True))
+
+
+def _least_chord_whole(t0, t1, A, h, q2):
+    """min_chord_start's reduction over every cell at once."""
+    tau = np.clip(-h, 0.0, t1 - t0)
+    chords = np.sqrt(_sq(A, h, q2, tau))
+    i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
+    return float(t0[i] + tau[i]) % 1.0, float(chords[i])
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.1, 1 / 3, 0.5])
+@pytest.mark.parametrize("name", ["ellipse262k", "random_d5_32k"])
+def test_blocked_kernel_keeps_its_bits(name, s, request):
+    # _cells forms the vertex form block by block, and the exact average and
+    # the minimum chord read it block by block: every bit is the whole-array one
+    curve = request.getfixturevalue(name)
+    t0, t1, *form = cells = _cells(curve, s)
+    assert len(t0) > 2**15
+    whole = _vertex_form(*_affine_at(curve, s, t0, t1, curve.params))
+    assert [x.tobytes() for x in form] == [x.tobytes() for x in whole]
+    average = float(np.sum(_norm_affine_integral(*whole, t1 - t0)))
+    least = _least_chord_whole(t0, t1, *whole)
+    assert average_chord(curve, s) == average
+    assert min_chord_start(curve, s) == least
+    assert _both_chords(curve, s) == (average, *least)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1 / 3, 0.5])
+def test_min_chord_tie_across_blocks(s):
+    # on a regular 2^16-gon the minimum ties in every period, over every block
+    # of cells: the smallest t, in the first period, still wins
+    m = 2**16
+    curve = generate(CurveSpec("regular_polygon", {"m": m}, normalize=True))
+    t0, t1, A, h, q2 = cells = _cells(curve, s)
+    chords = np.sqrt(_sq(A, h, q2, np.clip(-h, 0.0, t1 - t0)))
+    tied = np.flatnonzero(chords <= chords.min() * (1.0 + MIN_TIE_RTOL))
+    assert tied[-1] - tied[0] > len(t0) // 2
+    got = min_chord_start(curve, s)
+    assert got == _least_chord_whole(*cells)
+    assert got[0] < 1.0 / m
 
 
 def test_golden_section_quadratic():

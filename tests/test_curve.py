@@ -131,6 +131,19 @@ class TestBuildCurve:
                                                   "a float, got " + re.escape(repr(bad)[:20])):
             build_curve(pts)
 
+    # np.array reads a bool among ints or floats as a number, so list input
+    # is read element by element for bools; (True, 1) made a triangle of 3.414
+    @pytest.mark.parametrize("pts, bad", [
+        ([(0, 0), (1, 0), (True, 1)], "True"),
+        ([(0, 0), (1, False), (0, 1)], "False"),
+        ([(0.0, 0.0), (1.0, 0.0), (np.True_, 1.0)], repr(np.True_)),
+        ((np.zeros(2), np.array([1.0, 0.0]), np.array([False, True])), "False"),
+    ])
+    def test_bool_among_numbers_refused(self, pts, bad):
+        with pytest.raises(DegenerateCurve, match="coordinates must be real numbers that fit "
+                                                  "a float, got " + re.escape(bad) + "$"):
+            build_curve(pts)
+
     @pytest.mark.parametrize("pts", [
         [(0, 0), (3, 0), (3, 4), (1, 5)],
         np.array([(0, 0), (3, 0), (3, 4), (1, 5)], dtype=np.int64),

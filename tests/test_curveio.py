@@ -1,11 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvecover import CurveSpec, generate, load_curve, save_curve
+from curvecover import CurveSpec, curveio, generate, load_curve, save_curve
 from curvecover.curveio import _json_vertices
 from curvecover.errors import DegenerateCurve, FileError
 
@@ -244,3 +245,55 @@ def test_hand_cases_agree_with_nested(vertices):
     for text in ('{"dim": 2, "vertices": %s}' % vertices,
                  '{%s"dim": 2, "vertices": %s}' % (meta, vertices)):
         assert _outcome(_json_vertices, text) == _outcome(_reference_vertices, text)
+
+
+# Small parse chunks cut the vertex array of these after nearly every row, so
+# every position of a one-byte edit is at or near a chunk cut.
+CHUNKED = _layouts([[0, 0, 1.5], [1.0, -2, 0.25], [3e-2, 1, -0.5], [2, 2.5, 0]] * 2, 3, False)
+
+
+@pytest.mark.parametrize("chunk", [3, 24])
+@pytest.mark.parametrize("layout", sorted(CHUNKED))
+def test_one_byte_edit_across_chunks_agrees_with_nested(layout, chunk):
+    text = CHUNKED[layout]
+    a, b = curveio._vertex_span(text)
+    with mock.patch.object(curveio, "_CHUNK", chunk):
+        assert _json_vertices(text).tobytes() == _reference_vertices(text).tobytes()
+        for pos in range(a - 1, b + 1):
+            for insert in list("[],0123456789 ") + [None]:
+                edited = text[:pos] + (insert or "") + text[pos + (insert is None):]
+                assert (_outcome(_json_vertices, edited)
+                        == _outcome(_reference_vertices, edited)), (pos, insert)
+
+
+def _big_text(n):
+    doc = {"dim": 2, "vertices": generate(CurveSpec("circle", resolution=n)).vertices.tolist()}
+    return json.dumps(doc)
+
+
+def test_json_error_in_a_later_chunk_is_the_files(tmp_path):
+    # "0. 5": a number of the third chunk, and one of the first, split after
+    # its "."; json.loads of the file reports the first, at that "."
+    text = _big_text(65536)
+    assert len(text) > 2 * curveio._CHUNK
+    for dots in ([text.rindex(".")], [text.rindex("."), text.index(".")]):
+        bad = text
+        for pos in dots:
+            bad = bad[:pos + 1] + " " + bad[pos + 2:]
+        with pytest.raises(FileError) as exc:
+            load_curve(_write(tmp_path, "c.json", bad))
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(bad)
+        assert str(exc.value).endswith(str(ref.value))
+        assert ref.value.pos == min(dots)
+
+
+def test_edits_at_a_chunk_cut_agree_with_nested():
+    # at the real chunk size: the first cut ends the chunk at a row's "]"
+    text = _big_text(32768)
+    cut = text.index("]", curveio._vertex_span(text)[0] + curveio._CHUNK)
+    assert _json_vertices(text).tobytes() == _reference_vertices(text).tobytes()
+    for pos, insert in [(cut, None), (cut + 1, "5"), (cut + 1, None), (cut - 1, " "),
+                        (cut + 3, "]"), (cut + 3, " ")]:
+        edited = text[:pos] + (insert or "") + text[pos + (insert is None):]
+        assert _outcome(_json_vertices, edited) == _outcome(_reference_vertices, edited)
