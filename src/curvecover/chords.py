@@ -2,12 +2,12 @@
 
 The central quantity is the mean length of the chord spanned by an arc
 of length s, averaged over all starting points of a unit-length closed
-curve.  One cell kernel serves every chord computation: ``_cells`` cuts
-[0, 1) where t or t+s crosses a vertex, and hands every per-s reader the
-chord ||a + b (t - t0)|| on each cell [t0, t1] (a formed at t0) in vertex
-form.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it,
-``verify`` gets both from one pass, and ``best_uniform_shift`` reads it at
-s = 1/k for every arc of a uniform cover.
+curve.  One cell kernel serves every chord computation: ``_windows`` cuts
+[0, 1) where t or t+s crosses a vertex and yields the chord ||a + b (t - t0)||
+on each cell [t0, t1] (a formed at t0) in vertex form, about ``_BLOCK`` cells
+at a time.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it
+and ``verify`` gets both from one pass, keeping a few floats per cell; the
+shift search of ``best_uniform_shift`` gathers every cell at s = 1/k with ``_cells``.
 """
 
 import math
@@ -26,7 +26,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # global minimum tie, and the smallest start among them wins.
 MIN_TIE_RTOL = 1e-12
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
-_BLOCK = 2**14  # cells formed and read at once, so temporaries do not grow with n
+_BLOCK = 2**14  # cells in a window of _windows, so temporaries do not grow with n
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ def _require_unit(curve: ClosedCurve):
 
 def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: np.ndarray):
     """(a, b) with r(t+s) - r(t) = a + b (t - t0) on the 1-D cells [t0, t1] of
-    ``_cells``, where t and t+s each stay on one edge; a and b are (cells, d).
+    ``_windows``, where t and t+s each stay on one edge; a and b are (cells, d).
     a, the chord at t0, is formed from the nearest vertices: accurate as s -> 0.
-    u is ``curve.params``, which ``_cells`` forms once for all its blocks."""
+    u is ``curve.params``, which ``_windows`` forms once for all its windows."""
     vtx, tan = curve.vertices, curve._tangents
     mids = 0.5 * (t0 + t1)
-    i = np.clip(np.searchsorted(u, mids, side="right") - 1, 0, curve.n - 1)
+    i = np.minimum(np.searchsorted(u, mids, side="right") - 1, curve.n - 1)  # >= 0: u[0] = 0
     wrap = mids + s >= 1.0  # t + s runs past 1 on this cell, and t0 >= 1/2
-    j = np.clip(np.searchsorted(u, mids + s - wrap, side="right") - 1, 0, curve.n - 1)
+    j = np.minimum(np.searchsorted(u, mids + s - wrap, side="right") - 1, curve.n - 1)
     ei, ej = np.take(tan, i, axis=0), np.take(tan, j, axis=0)
     # r(t0) = r_{i+1} - (u_{i+1} - t0) e_i, r(t0+s) = r_j + (t0 - wrap - u_j + s) e_j
     # (t0 - wrap is exact); where both lie on edge i, a = (s - wrap) e_i outright
@@ -73,23 +73,37 @@ def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: 
     return a, ej - ei
 
 
-def _blocks(n: int):
-    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+def _windows(curve: ClosedCurve, s: float):
+    """Cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex, in the vertex form
+    of r(t+s) - r(t): (t0, t1, A, h, q2) on [u_a, u_b) for vertices a..b-1, _BLOCK/2 at a
+    time.  Vertices are breakpoints, so these are the cells of one whole sort, to the bit."""
+    u, step = curve.params, _BLOCK // 2
+    j = np.searchsorted(u, s)  # u - s < 0 below j, where np.mod adds 1 (fmod is exact)
+    shifted = np.concatenate((u[j:-1] - s, u[:j] - s + 1.0))  # np.mod(u[:-1] - s, 1), sorted
+    ends = np.concatenate((u[:-1:step], [1.0]))  # u_a of every window, then the last end
+    cut = np.searchsorted(shifted, ends)
+    for a, lo, hi, end in zip(range(0, curve.n, step), cut, cut[1:], ends[1:]):
+        brk = np.concatenate((u[a:min(a + step, curve.n)], shifted[lo:hi], [end]))
+        brk.sort()  # np.unique, in place
+        brk = brk[np.concatenate(([True], brk[1:] != brk[:-1]))]
+        t0, t1 = brk[:-1], brk[1:]
+        yield t0, t1, *_vertex_form(*_affine_at(curve, s, t0, t1, u))
+
+
+def _per_cell(curve: ClosedCurve, s: float, rows: int, read):
+    """``rows`` arrays of a float per cell (<= 2n), read(*cells) filling a window of each."""
+    out, m = [np.empty(2 * curve.n) for _ in range(rows)], 0
+    for cells in _windows(curve, s):
+        for row, x in zip(out, read(*cells)):
+            row[m:m + len(x)] = x
+        m += len(cells[0])
+    return [row[:m] for row in out]
 
 
 def _cells(curve: ClosedCurve, s: float):
-    """Sorted cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex,
-    with r(t+s) - r(t) = a + b (t - t0) on each in the vertex form that every
-    per-s reader reads as it is: (t0, t1, A, h, q2), formed a block at a time."""
-    u = curve.params
-    brk = np.concatenate((u[:-1], np.mod(u[:-1] - s, 1.0), [0.0, 1.0]))
-    brk.sort()  # np.unique, in place
-    brk = brk[np.concatenate(([True], brk[1:] != brk[:-1]))]
-    t0, t1 = brk[:-1], brk[1:]
-    A, h, q2 = np.empty((3, len(t0)))
-    for c in _blocks(len(t0)):
-        A[c], h[c], q2[c] = _vertex_form(*_affine_at(curve, s, t0[c], t1[c], u))
-    return t0, t1, A, h, q2
+    """Every cell of ``_windows`` at once, (t0, t1, A, h, q2): the shift search's gather."""
+    t0, A, h, q2 = _per_cell(curve, s, 4, lambda t0, t1, *form: (t0, *form))
+    return t0, np.concatenate((t0[1:], [1.0])), A, h, q2
 
 
 def _ratio(num, den, empty=0.0):
@@ -118,7 +132,7 @@ def _sq(A, h, q2, tau):
 
 
 def _norm_affine_integral(A, h, q2, T):
-    """Vectorized integral of ||a + b t|| over [0, T] from the vertex form of ``_cells``.
+    """Vectorized integral of ||a + b t|| over [0, T] from the vertex form of ``_windows``.
 
     With beta = |b| = sqrt(A), the chord rho = sqrt(p^2 + q^2) has the
     component p(t) = p0 + beta t along b and q across it.  Reflected so that
@@ -145,9 +159,9 @@ def average_chord(curve: ClosedCurve, s: float,
 
     Requires a unit-length curve and s in [0, 1/2].  The value never
     exceeds sin(pi*s)/pi, with equality only in the circular limit.  Both
-    modes read the chord on each cell of ``_cells`` from its vertex form:
+    modes read the chord on each cell of ``_windows`` from its vertex form:
     ``exact-piecewise`` integrates it in closed form, ``sampled`` sums it at
-    midpoints, with no point geometry.
+    midpoints, a window at a time, with no point geometry.
     """
     _require_unit(curve)
     if not (0.0 <= s <= 0.5):
@@ -155,12 +169,19 @@ def average_chord(curve: ClosedCurve, s: float,
     if s == 0.0:
         return 0.0
     if cfg.mode == "exact-piecewise":
-        return _exact_average(*_cells(curve, s))
-    t0, t1, *form = _cells(curve, s)
-    # sampled: composite midpoint on the same cells, read from the same vertex
-    # form: 64 p equal steps on a cell of width w, p = max(1, ceil(64 w)), so
-    # the rule stays within 1e-6 of the closed form (coarse polygons).  Row r
-    # of a cell holds its midpoints tau = (64 r + i + 0.5) w/(64 p), i < 64
+        return float(np.sum(_per_cell(curve, s, 1, _integral)[0]))
+    return math.fsum(_midpoint_sum(*cells) for cells in _windows(curve, s))
+
+
+def _integral(t0, t1, A, h, q2):  # each cell's part of the exact average chord
+    return (_norm_affine_integral(A, h, q2, t1 - t0),)
+
+
+def _midpoint_sum(t0, t1, *form):
+    """The sampled rule on one window's cells, read from their vertex form: 64 p
+    midpoints on a cell of width w, p = max(1, ceil(64 w)), so the rule stays
+    within 1e-6 of the closed form (coarse polygons).  Row r of a cell holds
+    its midpoints tau = (64 r + i + 0.5) w/(64 p), i < 64."""
     p = np.maximum(1, np.ceil((t1 - t0) * _SAMPLES)).astype(int)
     cell = np.repeat(np.arange(len(p)), p)[:, None]
     step = ((t1 - t0) / (_SAMPLES * p))[cell]
@@ -169,14 +190,7 @@ def average_chord(curve: ClosedCurve, s: float,
     chords = _sq(*(x[cell] for x in form), tau)
     np.sqrt(chords, out=chords)
     chords *= step
-    return float(np.sum(chords))
-
-
-def _exact_average(t0, t1, A, h, q2):  # the exact average chord on the cells of _cells
-    parts = np.empty(len(t0))
-    for c in _blocks(len(t0)):
-        parts[c] = _norm_affine_integral(A[c], h[c], q2[c], t1[c] - t0[c])
-    return float(np.sum(parts))
+    return np.sum(chords)
 
 
 def golden_section(f, a, b):
@@ -207,7 +221,7 @@ def golden_section(f, a, b):
 def min_chord_start(curve: ClosedCurve, s: float):
     """Start parameter minimizing the chord spanned by an arc of length s.
 
-    Exact: on each cell [t0, t1] of ``_cells`` the squared chord is
+    Exact: on each cell [t0, t1] of ``_windows`` the squared chord is
     A (t - t0 + h)^2 + q2, least at t0 + clip(-h, 0, t1 - t0), never above
     the average chord.  Ties go to the smallest t with a cell minimum within
     a relative ``MIN_TIE_RTOL`` of the global one.  Returns (t_star, chord).
@@ -215,24 +229,25 @@ def min_chord_start(curve: ClosedCurve, s: float):
     _require_unit(curve)
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    return _least_chord(*_cells(curve, s))
+    return _tie(*_per_cell(curve, s, 2, _least))
 
 
-def _least_chord(t0, t1, A, h, q2):  # min_chord_start on the cells of _cells
-    chords = np.empty(len(t0))
-    for c in _blocks(len(t0)):
-        chords[c] = _sq(A[c], h[c], q2[c], np.clip(-h[c], 0.0, t1[c] - t0[c]))
-    np.sqrt(chords, out=chords)
+def _least(t0, t1, A, h, q2):  # each cell's least chord and its start t*
+    tau = np.clip(-h, 0.0, t1 - t0)
+    return np.sqrt(_sq(A, h, q2, tau)), t0 + tau
+
+
+def _tie(chords, t_star):  # min_chord_start's tie rule over every cell
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
-    return float(t0[i] + min(max(-h[i], 0.0), t1[i] - t0[i])) % 1.0, float(chords[i])
+    return float(t_star[i]) % 1.0, float(chords[i])
 
 
 def _both_chords(curve: ClosedCurve, s: float):
-    """(average_chord, *min_chord_start) at s from one pass of ``_cells``."""
+    """(average_chord, *min_chord_start) at s from one pass of ``_windows``."""
     if not (0.0 < s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
         return average_chord(curve, s), None, None  # 0.0, or average_chord's error
-    cells = _cells(curve, s)
-    return _exact_average(*cells), *_least_chord(*cells)
+    parts, *least = _per_cell(curve, s, 3, lambda *cells: (*_integral(*cells), *_least(*cells)))
+    return float(np.sum(parts)), *_tie(*least)
 
 
 def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):

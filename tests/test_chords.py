@@ -404,6 +404,38 @@ def random_d5_32k():
     return generate(CurveSpec("random_closed", {"n": 20000, "seed": 5}, dim=5, normalize=True))
 
 
+@pytest.mark.parametrize("name, s", [("random_d5_32k", 0.1), ("random_d5_32k", 0.25),
+                                     ("ellipse65k", 0.1)])
+def test_sampled_rule_across_windows(name, s, request):
+    # above one window of _windows the sampled rule sums each window's
+    # midpoints, then the window sums: only its last bits may move from the
+    # one sum over every cell
+    curve = request.getfixturevalue(name)
+    assert curve.n > 8192
+    assert average_chord(curve, s, SAMPLED) == pytest.approx(
+        _sampled_reference(curve, s), rel=1e-15, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def ellipse65k():
+    """The 65,536-vertex unit-length 2:1 ellipse: eight windows of cells."""
+    return generate(CurveSpec("ellipse", {"a": 2.0, "b": 1.0}, resolution=65536,
+                              normalize=True))
+
+
+@pytest.mark.parametrize("s", [1e-12, 0.1, 1 / 3, 0.5])
+@pytest.mark.parametrize("name", ["ellipse65k", "random_d5_32k"])
+def test_windows_cut_the_whole_sort(name, s, request):
+    # the cells of every window, in order, are those of one sort of all
+    # the breakpoints: the vertex parameters and np.mod(u - s, 1)
+    curve = request.getfixturevalue(name)
+    u = curve.params
+    brk = np.unique(np.concatenate((u[:-1], np.mod(u[:-1] - s, 1.0), [0.0, 1.0])))
+    t0, t1 = _cells(curve, s)[:2]
+    assert t0.tobytes() == brk[:-1].tobytes()
+    assert t1.tobytes() == brk[1:].tobytes()
+
+
 def _least_chord_whole(t0, t1, A, h, q2):
     """min_chord_start's reduction over every cell at once."""
     tau = np.clip(-h, 0.0, t1 - t0)

@@ -437,11 +437,11 @@ class TestVerify:
         assert min(m for m, _ in margins) > 4.8e-9
 
     def test_one_cell_pass_per_s(self, circle_file, monkeypatch, capsys):
-        # both chords of each s > 0 come from one _cells call; s = 0 needs none
+        # both chords of each s > 0 come from one pass of _windows; s = 0 needs none
         calls = []
-        cells = chords._cells
-        monkeypatch.setattr(chords, "_cells",
-                            lambda curve, s: calls.append(s) or cells(curve, s))
+        windows = chords._windows
+        monkeypatch.setattr(chords, "_windows",
+                            lambda curve, s: calls.append(s) or windows(curve, s))
         assert main(["verify", circle_file, "--s", "0", "0.05", "0.25", "0",
                      "0.5"]) == 0
         assert calls == [0.05, 0.25, 0.5]
