@@ -10,7 +10,7 @@ patrolling idle-time floor.
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, KTooSmall, NonPositiveSpeed, OutOfRange
+from .errors import EmptyInput, NonPositiveSpeed, OutOfRange, _count, _number
 
 
 def beta_extremal(k: int) -> float:
@@ -18,22 +18,18 @@ def beta_extremal(k: int) -> float:
 
     Also the circle lower bound for the max-ratio problem.
     """
-    if k < 1:
-        raise KTooSmall("k must be >= 1")
+    k = _count(k, 1)
     return 1.0 / k + math.sin(math.pi / k) / math.pi
 
 
 def gamma_upper_simple(k: int) -> float:
     """Upper bound 2/k from the equal-arc partition, k >= 2."""
-    if k < 2:
-        raise KTooSmall("k must be >= 2")
-    return 2.0 / k
+    return 2.0 / _count(k, 2)
 
 
 def gamma_upper_refined(k: int) -> float:
     """Upper bound 2/k - 1/(4 k^4) from the non-uniform partition, k >= 3."""
-    if k < 3:
-        raise KTooSmall("k must be >= 3")
+    k = _count(k, 3)
     return 2.0 / k - 1.0 / (4.0 * k**4)
 
 
@@ -47,8 +43,7 @@ def solve_sk(k: int):
     (s_k, bound = 2(1-s_k)/(k-1)), s_k the last bracket's left end, where
     the difference is negative: s_k + sin(pi s_k)/pi <= bound.
     """
-    if k < 3:
-        raise KTooSmall("k must be >= 3")
+    k = _count(k, 3)
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
     a, b = 0.0, 0.5
     while b - a > 1e-14 or b - a > 1e-10 * a:
@@ -67,8 +62,7 @@ def bkk_table(k_max: int) -> dict[int, float]:
     of g(a)g(b) over factorizations k = a*b and
     (1 + 2/pi) g(a)g(b)/(g(a)+g(b)) over sums k = a+b.
     """
-    if k_max < 1:
-        raise KTooSmall("k_max must be >= 1")
+    k_max = _count(k_max, 1, "k_max")
     g = {1: 1.0}
     if k_max >= 2:
         g[2] = 0.5 + 1.0 / math.pi
@@ -87,6 +81,7 @@ def bkk_table(k_max: int) -> dict[int, float]:
 
 def sin_taylor_upper(x: float) -> float:
     """Majorant x - x^3/12 of sin(x) on [0, pi]."""
+    x = _number(x, "x")
     if not (0.0 <= x <= math.pi):
         raise OutOfRange(f"x must lie in [0, pi], got {x}")
     return x - x**3 / 12.0
@@ -97,9 +92,9 @@ def idle_time_lower(speeds) -> float:
     speeds = list(speeds)
     if not speeds:
         raise EmptyInput("need at least one speed")
-    bad = [v for v in speeds if not 0 < v < math.inf]  # NaN fails too
-    if bad:
-        raise NonPositiveSpeed(f"every speed must be > 0 and finite, got {bad[0]!r}")
+    for v in speeds:
+        if _number(v, "every speed", error=NonPositiveSpeed) <= 0.0:
+            raise NonPositiveSpeed(f"every speed must be > 0 and finite, got {v!r}")
     return 1.0 / sum(speeds)
 
 
@@ -117,16 +112,15 @@ class BoundsRow:
 
 def table1(k_max: int) -> list[BoundsRow]:
     """Assemble the bounds table for k = 1..k_max."""
-    bkk = bkk_table(k_max)
     rows = []
-    for k in range(1, k_max + 1):
+    for k, bkk in bkk_table(k_max).items():  # k = 1..k_max, in order
         if k == 1:
             new, sk = 1.0, None
         elif k == 2:
             new, sk = gamma_upper_simple(2), None
         else:
             sk, new = solve_sk(k)
-        rows.append(BoundsRow(k, beta_extremal(k), bkk[k], new, sk))
+        rows.append(BoundsRow(k, beta_extremal(k), bkk, new, sk))
     return rows
 
 

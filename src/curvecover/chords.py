@@ -17,7 +17,7 @@ import numpy as np
 
 from .curve import UNIT_LENGTH_TOL, ClosedCurve
 from .curve import chord_length  # noqa: F401  unused; perfbench/selftest.py checks this binding
-from .errors import NotNormalized, OutOfRange
+from .errors import NotNormalized, OutOfRange, _number
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -164,6 +164,7 @@ def average_chord(curve: ClosedCurve, s: float,
     midpoints, a window at a time, with no point geometry.
     """
     _require_unit(curve)
+    s = _number(s, "s")
     if not (0.0 <= s <= 0.5):
         raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
     if s == 0.0:
@@ -227,6 +228,7 @@ def min_chord_start(curve: ClosedCurve, s: float):
     a relative ``MIN_TIE_RTOL`` of the global one.  Returns (t_star, chord).
     """
     _require_unit(curve)
+    s = _number(s, "s")
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
     return _tie(*_per_cell(curve, s, 2, _least))

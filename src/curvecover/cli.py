@@ -28,31 +28,21 @@ import sys
 import numpy as np
 
 from . import bounds as bnd, chords, curveio, generators, partition as part
-from .errors import BadFlag, CurveCoverError
+from .errors import BadFlag, CurveCoverError, _count
 
-
-# the most float64s one numpy array can hold: numpy raises ValueError, not
-# MemoryError, above it
-_MAX_COUNT = np.iinfo(np.intp).max // 8
 # bkk_table is quadratic in Python: seconds at this kmax, hours at 10^6
 _MAX_KMAX = 4096
-
-
-def _check_count(flag, n, least=1, most=_MAX_COUNT):
-    if n < least:
-        raise BadFlag(f"{flag} must be >= {least}")
-    if n > most:
-        raise BadFlag(f"{flag} must be <= {most}, got {n}")
 
 
 def _fmt3(x):
     return "--" if x is None else f"{x:.3f}"
 
 
-def _csv(records, columns, *trailer):
-    """CSV lines: the header, one row of ``columns`` per record (a dict),
-    each value as its repr or empty for None, then the (name, value) pairs
-    of ``trailer`` on one '# name=value ...' line."""
+def _csv(records, *trailer):
+    """CSV lines: the header, the first record's keys, then one row per record
+    (a dict with those keys), each value as its repr or empty for None, then
+    the (name, value) pairs of ``trailer`` on one '# name=value ...' line."""
+    columns = list(records[0])
     lines = [",".join(columns)]
     lines += [",".join(["" if r[c] is None else repr(r[c]) for c in columns])
               for r in records]
@@ -61,20 +51,20 @@ def _csv(records, columns, *trailer):
     return lines
 
 
-# Each report command only computes, and returns (curve, doc, columns, rows,
-# trailer, verdicts): the curve file it read (None for bounds), the JSON doc,
-# the CSV's columns, rows (dicts) and trailer (name, value) pairs, and its
-# verdicts value <= bound as (check, value, bound_name, bound, passes, err).
+# Each report command only computes, and returns (curve, doc, rows, trailer,
+# verdicts): the curve file it read (None for bounds), the JSON doc, the CSV's
+# rows (dicts, never empty) and trailer (name, value) pairs, and its verdicts
+# value <= bound as (check, value, bound_name, bound, passes, err).
 
 def cmd_bounds(args):
-    _check_count("--kmax", args.kmax, most=_MAX_KMAX)
-    rows = bnd.table1(args.kmax)
+    if args.kmax > _MAX_KMAX:
+        raise BadFlag(f"--kmax must be <= {_MAX_KMAX}, got {args.kmax}")
+    rows = bnd.table1(_count(args.kmax, 1, "--kmax"))
     rendered = dict(zip(("lower", "bkk_upper", "new_upper"),
                         bnd.rendered_rows(rows)))
     doc = {"command": "bounds", "kmax": args.kmax,
            "rows": [dict(vars(r)) for r in rows], "rendered": rendered}
-    columns = ("k", "lower", "bkk_upper", "new_upper", "s_k")
-    return None, doc, columns, doc["rows"], (), []
+    return None, doc, doc["rows"], (), []
 
 
 def cmd_gen(args):
@@ -98,7 +88,7 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
-    _check_count("--k", args.k)
+    _count(args.k, 1, "--k")
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
     curve = curveio.load_curve(args.curve, normalize=True)
@@ -121,15 +111,14 @@ def cmd_partition(args):
     report["command"] = "partition"
     gamma, ok, err = report["gamma"], report["bound_satisfied"], report["err"]
     trailer = (("gamma", gamma), ("bound", bound), ("pass", ok), ("err", err))
-    return (curve, report, ("t_start", "length_frac", "piece_length"),
-            report["pieces"], trailer,
+    return (curve, report, report["pieces"], trailer,
             [("gamma", gamma, "certified bound", bound, ok, err)])
 
 
 def cmd_sweep(args):
-    _check_count("--samples", args.samples, 2)
-    _check_count("--k", args.k)
-    _check_count("--samples times --k", args.samples * args.k)
+    _count(args.samples, 2, "--samples")
+    _count(args.k, 1, "--k")
+    _count(args.samples * args.k, 1, "--samples times --k")
     curve = curveio.load_curve(args.curve, normalize=True)
     k = args.k
     # row j is the uniform cover with shift j / (k samples)
@@ -149,7 +138,7 @@ def cmd_sweep(args):
            "mean_beta_within_bound": ok, "err": err}
     trailer = (("mean_beta", mean_beta), ("exact_mean_beta", exact),
                ("bound", bound), ("pass", ok), ("err", err))
-    return (curve, doc, ("shift", "beta", "gamma"), rows, trailer,
+    return (curve, doc, rows, trailer,
             [("mean beta over all shifts", exact, "bound", bound, ok, err)])
 
 
@@ -175,9 +164,7 @@ def cmd_verify(args):
                      for name, v, ok, e in checked]
         results.append(entry)
         rows.append(row)
-    columns = ("s", "average_chord", "bound", "slack", "pass", "err",
-               "min_chord", "min_chord_pass", "min_chord_err")
-    return curve, {"command": "verify", "results": results}, columns, rows, (), verdicts
+    return curve, {"command": "verify", "results": results}, rows, (), verdicts
 
 
 def _report_flags(sp):
@@ -233,7 +220,7 @@ def main(argv=None) -> int:
         report = globals()["cmd_" + args.command](args)
         if report is None:  # gen wrote its curve file
             return 0
-        curve, doc, columns, rows, trailer, verdicts = report
+        curve, doc, rows, trailer, verdicts = report
         if curve is not None:  # a note when the curve file was rescaled
             doc["notes"] = [] if curve.input_length == curve.length else [
                 f"input curve length {curve.input_length:.12g} != 1; auto-normalized"]
@@ -243,7 +230,7 @@ def main(argv=None) -> int:
         if view == "json":
             lines = [json.dumps(doc, sort_keys=True)]
         elif view == "csv":
-            lines = _csv(rows, columns, *trailer)
+            lines = _csv(rows, *trailer)
         else:  # the aligned bounds table: k, then one row per rendered bound
             lines = ["k".ljust(16) + " ".join(f"{r['k']:>6d}" for r in doc["rows"])]
             lines += [name.ljust(16) + " ".join(f"{_fmt3(x):>6}" for x in values)

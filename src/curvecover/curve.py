@@ -99,7 +99,9 @@ def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 def _coordinate(x) -> float:
     """An element of an object array as a float: DegenerateCurve unless it is
-    a number, not a bool or complex, that float() takes."""
+    a number, not a bool or complex, that float() takes.  Not ``errors._number``:
+    a coordinate alone may be a Decimal, and a non-finite one is left to
+    build_curve's own check on the whole array."""
     if isinstance(x, numbers.Number) and not isinstance(x, (bool, complex, np.complexfloating)):
         try:
             return float(x)

@@ -6,13 +6,12 @@ so the same spec yields bit-identical vertices on every platform.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import ClosedCurve, build_curve
-from .errors import BadSpec, DegenerateCurve
+from .errors import BadSpec, DegenerateCurve, _number
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # the state's step per draw
@@ -79,19 +78,6 @@ class CurveSpec:
     normalize: bool = True
 
 
-def _number(kind, name, v, real):
-    """``v`` as a float if ``real``, else as an int; BadSpec unless it is a
-    finite real, not a bool, that fits a float, and integral unless ``real``."""
-    try:
-        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
-    except OverflowError:
-        raise BadSpec(f"{kind} {name} does not fit a float") from None
-    if not math.isfinite(x) or not (real or x.is_integer()):
-        what = "a finite number" if real else "an integer"
-        raise BadSpec(f"{kind} {name} must be {what}, got {v!r}")
-    return x if real else int(v)
-
-
 def generate(spec: CurveSpec) -> ClosedCurve:
     """Build the curve described by a spec; deterministic in the spec.  A spec
     it cannot build, its curve degenerate included, raises BadSpec."""
@@ -108,10 +94,10 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     for key, default in PARAMS[kind].items():
         if key not in spec.params and default is None:
             raise BadSpec(f"{kind} needs param {key!r}")
-        p[key] = _number(kind, f"param {key!r}", spec.params.get(key, default),
-                         isinstance(default, float))
-    resolution = _number(kind, "resolution", spec.resolution, False)
-    dim = None if spec.dim is None else _number(kind, "dim", spec.dim, False)
+        p[key] = _number(spec.params.get(key, default), f"{kind} param {key!r}",
+                         not isinstance(default, float), BadSpec)
+    resolution = _number(spec.resolution, f"{kind} resolution", True, BadSpec)
+    dim = None if spec.dim is None else _number(spec.dim, f"{kind} dim", True, BadSpec)
     if dim is not None and dim < 2:
         raise BadSpec(f"{kind} dim must be >= 2, got {dim}")
     count = {"rectangle": 4, "regular_polygon": p.get("m"),

@@ -16,7 +16,6 @@ construction bounds.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import bounds
 from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _sq, _verdict, golden_section,
                      min_chord_start)
 from .curve import ClosedCurve, chord_length
-from .errors import KTooSmall, NotAPartition, OutOfRange
+from .errors import NotAPartition, OutOfRange, _count, _number
 
 PARTITION_TOL = 1e-9
 _BLOCK = 2**15  # elements (arcs x cells) in one block of the shift search
@@ -39,13 +38,9 @@ class Arc:
     length_frac: float
 
     def __post_init__(self):
-        for name, v in (("t_start", self.t_start), ("length_frac", self.length_frac)):
-            # a float, as every cover passes, skips the slower ABC check; np.bool_ is no Real
-            if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-                raise OutOfRange(f"{name} must be a real number, got {v!r}")
-        if not (0.0 <= self.t_start < 1.0):
+        if not (0.0 <= _number(self.t_start, "t_start") < 1.0):
             raise OutOfRange(f"t_start must lie in [0, 1), got {self.t_start}")
-        if not (0.0 < self.length_frac <= 1.0):
+        if not (0.0 < _number(self.length_frac, "length_frac") <= 1.0):
             raise OutOfRange(f"length_frac must lie in (0, 1], got {self.length_frac}")
 
 
@@ -88,10 +83,7 @@ def _cover(curve: ClosedCurve, starts, fracs, tag: str) -> Cover:
 
 def uniform_partition(curve: ClosedCurve, k: int, shift: float = 0.0) -> Cover:
     """k arcs of length 1/k starting at shift, shift + 1/k, ..."""
-    if k < 1:
-        raise KTooSmall("k must be >= 1")
-    if not math.isfinite(shift):
-        raise OutOfRange(f"shift must be a finite number, got {shift}")
+    k, shift = _count(k, 1), _number(shift, "shift")
     # fmod is exact, so j/k survives any shift; a start just below 0 rounds to 1
     starts = np.mod(math.fmod(shift, 1.0) + np.arange(k) / k, 1.0)
     starts[starts == 1.0] = 0.0
@@ -139,8 +131,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     Ties go to the smallest cell start or refined point whose cost is within
     a relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
     """
-    if k < 1:
-        raise KTooSmall("k must be >= 1")
+    k = _count(k, 1)
     if k > 4 * _BLOCK:  # a block holds >= 4 cells x k arcs: memory grows with k
         raise OutOfRange(f"k must be <= {4 * _BLOCK} for the best-shift search, got {k}")
     if objective not in ("max", "avg"):
@@ -197,8 +188,7 @@ def _long_short_cover(curve: ClosedCurve, k: int, s: float, tag: str) -> Cover:
 def theorem2_partition(curve: ClosedCurve, k: int) -> Cover:
     """Long arc of length 1/k + (k-1)/(8k^4) at a minimum-chord start,
     plus k-1 equal arcs.  Guarantees gamma <= 2/k - 1/(4k^4)."""
-    if k < 3:
-        raise KTooSmall("k must be >= 3")
+    k = _count(k, 3)
     eps = 1.0 / (8.0 * k**4)
     s = 1.0 / k + (k - 1) * eps
     return _long_short_cover(curve, k, s, "theorem2")
@@ -207,6 +197,7 @@ def theorem2_partition(curve: ClosedCurve, k: int) -> Cover:
 def optimized_partition(curve: ClosedCurve, k: int) -> Cover:
     """Same construction with the tuned arc length s_k, guaranteeing
     gamma <= 2(1 - s_k)/(k - 1)."""
+    k = _count(k, 3)
     s_k, _ = bounds.solve_sk(k)
     return _long_short_cover(curve, k, s_k, "optimized")
 

@@ -144,6 +144,8 @@ class TestSinTaylor:
             sin_taylor_upper(-0.1)
         with pytest.raises(OutOfRange):
             sin_taylor_upper(3.5)
+        with pytest.raises(OutOfRange, match="x must be a real number, got True"):
+            sin_taylor_upper(True)  # a bool, not the number 1
 
 
 class TestIdleTime:
@@ -160,7 +162,7 @@ class TestIdleTime:
         with pytest.raises(NonPositiveSpeed):
             idle_time_lower([1.0, 0.0])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, True])
     def test_non_finite_or_negative_speed(self, bad):
         with pytest.raises(NonPositiveSpeed, match=f"got {bad!r}$"):
             idle_time_lower([1.0, bad, 2.0])

@@ -47,6 +47,8 @@ class TestAverageChord:
             average_chord(circle, 0.6)
         with pytest.raises(OutOfRange):
             average_chord(circle, -0.1)
+        with pytest.raises(OutOfRange, match="s must be a real number, got False"):
+            average_chord(circle, False)  # a bool, not the number 0
 
     def test_inequality_on_corpus(self, corpus):
         for name, curve in corpus.items():

@@ -666,9 +666,9 @@ class TestOneParser:
     def test_handler_rebound_after_first_call(self, monkeypatch, capsys):
         assert main(["bounds", "--kmax", "2"]) == 0
         monkeypatch.setattr(cli, "cmd_bounds",
-                            lambda args: (None, {}, ("patched",), [], (), []))
+                            lambda args: (None, {}, [{"patched": 1}], (), []))
         assert main(["bounds", "--kmax", "2", "--render", "csv"]) == 0
-        assert capsys.readouterr().out.endswith("patched\n")
+        assert capsys.readouterr().out.endswith("patched\n1\n")
 
 
 class TestDeterminism:

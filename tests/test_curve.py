@@ -304,6 +304,12 @@ class TestCoverPieceLength:
             Arc(0.0, 0.0)
         with pytest.raises(OutOfRange):
             Arc(-0.1, 0.5)
+        with pytest.raises(OutOfRange, match="t_start must be a finite number, got nan"):
+            Arc(math.nan, 0.5)
+        with pytest.raises(OutOfRange, match="length_frac must be a finite number, got inf"):
+            Arc(0.1, math.inf)
+        with pytest.raises(OutOfRange, match="t_start does not fit a float"):
+            Arc(10**400, 0.5)
 
     @pytest.mark.parametrize("t, frac", [
         (0.0, True), (True, 0.5), (np.bool_(False), 0.5), (0.1, np.bool_(True)),

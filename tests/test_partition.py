@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,14 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvecover import (Arc, Cover, CurveSpec, beta_extremal, best_uniform_shift,
-                        build_curve, chord_length, cover_metrics, cover_report,
-                        gamma_upper_refined, gamma_upper_simple, generate,
-                        golden_section, optimized_partition, solve_sk,
-                        theorem2_partition, uniform_partition)
+                        bkk_table, build_curve, chord_length, cover_metrics,
+                        cover_report, gamma_upper_refined, gamma_upper_simple,
+                        generate, golden_section, optimized_partition, solve_sk,
+                        table1, theorem2_partition, uniform_partition)
 from curvecover import partition
 from curvecover.chords import MIN_TIE_RTOL
-from curvecover.errors import (DegenerateCurve, KTooSmall, NotAPartition,
-                               NotNormalized, OutOfRange)
+from curvecover.errors import (CurveCoverError, DegenerateCurve, KTooSmall,
+                               NotAPartition, NotNormalized, OutOfRange)
 from curvecover.partition import _shift_cells
 
 
@@ -54,9 +55,11 @@ class TestUniformPartition:
         assert starts.tobytes() == np.asarray(want, dtype=float).tobytes()
         cover_metrics(circle, cover)  # raises NotAPartition unless the arcs tile
 
-    @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan, True, "0.5"])
     def test_non_finite_shift(self, circle, shift):
-        with pytest.raises(OutOfRange, match=f"shift must be a finite number, got {shift}"):
+        what = "finite" if isinstance(shift, float) else "real"  # a bool is no shift
+        message = f"shift must be a {what} number, got {shift!r}"
+        with pytest.raises(OutOfRange, match=re.escape(message)):
             uniform_partition(circle, 4, shift)
 
     def test_proposition_two_over_k(self, corpus):
@@ -393,6 +396,44 @@ def test_cover_report_payload(circle):
     assert {"t_start", "length_frac", "piece_length"} <= report["pieces"][0].keys()
     assert report["bound_satisfied"] is True
     assert report["gamma"] <= report["bound"]
+
+
+# the public functions taking a count k: (function, least k, takes a curve first)
+_COUNTED = [(beta_extremal, 1, False), (gamma_upper_simple, 2, False),
+            (gamma_upper_refined, 3, False), (solve_sk, 3, False), (bkk_table, 1, False),
+            (table1, 1, False), (uniform_partition, 1, True), (best_uniform_shift, 1, True),
+            (theorem2_partition, 3, True), (optimized_partition, 3, True)]
+
+
+def _counted_call(fn, takes_curve, curve, k):
+    """fn at k, with any Cover in the result as its arcs and piece-length bits."""
+    def plain(r):
+        if isinstance(r, Cover):
+            return r.pieces, r.piece_lengths.tobytes(), r.construction
+        return tuple(map(plain, r)) if isinstance(r, tuple) else r
+    return plain(fn(curve, k) if takes_curve else fn(k))
+
+
+# bools, non-integers and non-numbers, and for the covers a k numpy cannot index
+# (best_uniform_shift refuses it by its own, lower, cap)
+@pytest.mark.parametrize("fn, least, takes_curve, k", [
+    (fn, least, takes_curve, k) for fn, least, takes_curve in _COUNTED
+    for k in [least + 0.5, np.float64(least + 0.5), "3", None]
+    + [True, np.bool_(True)] * (least == 1)
+    + [2**61] * (takes_curve and fn is not best_uniform_shift)])
+def test_count_rule_refuses(square, fn, least, takes_curve, k):
+    with pytest.raises(CurveCoverError, match="^k(_max)? must be"):
+        _counted_call(fn, takes_curve, square, k)
+
+
+@pytest.mark.parametrize("fn, takes_curve, k, same", [
+    (fn, takes_curve, 3, same) for fn, _, takes_curve in _COUNTED
+    for same in (np.int64(3), 3.0)] + [
+    (gamma_upper_refined, False, 60000, np.int64(60000)),  # k**4 wrapped in int64
+    (theorem2_partition, True, 60000, np.int64(60000))])
+def test_count_rule_equal_inputs(square, fn, takes_curve, k, same):
+    assert _counted_call(fn, takes_curve, square, same) == _counted_call(
+        fn, takes_curve, square, k)
 
 
 def _scan_curves():
