@@ -6,8 +6,8 @@ curve.  One cell kernel serves every chord computation: ``_windows`` cuts
 [0, 1) where t or t+s crosses a vertex and yields the chord ||a + b (t - t0)||
 on each cell [t0, t1] (a formed at t0) in vertex form, about ``_BLOCK`` cells
 at a time.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it
-and ``verify`` gets both from one pass, keeping a few floats per cell; the
-shift search of ``best_uniform_shift`` gathers every cell at s = 1/k with ``_cells``.
+and ``verify`` gets both from one pass, keeping a float per cell and the cells
+that may tie; ``best_uniform_shift`` gathers every cell at s = 1/k with ``_cells``.
 """
 
 import math
@@ -231,15 +231,18 @@ def min_chord_start(curve: ClosedCurve, s: float):
     s = _number(s, "s")
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    return _tie(*_per_cell(curve, s, 2, _least))
+    return _tie(_least(*cells) for cells in _windows(curve, s))
 
 
-def _least(t0, t1, A, h, q2):  # each cell's least chord and its start t*
+def _least(t0, t1, A, h, q2):  # least chord and t* of the cells that may tie, in a window
     tau = np.clip(-h, 0.0, t1 - t0)
-    return np.sqrt(_sq(A, h, q2, tau)), t0 + tau
+    chords = np.sqrt(_sq(A, h, q2, tau))
+    near = chords <= chords.min() * (1.0 + MIN_TIE_RTOL)
+    return chords[near], (t0 + tau)[near]
 
 
-def _tie(chords, t_star):  # min_chord_start's tie rule over every cell
+def _tie(windows):  # min_chord_start's tie rule over every window's _least cells
+    chords, t_star = map(np.concatenate, zip(*windows))
     i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
     return float(t_star[i]) % 1.0, float(chords[i])
 
@@ -248,8 +251,13 @@ def _both_chords(curve: ClosedCurve, s: float):
     """(average_chord, *min_chord_start) at s from one pass of ``_windows``."""
     if not (0.0 < s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
         return average_chord(curve, s), None, None  # 0.0, or average_chord's error
-    parts, *least = _per_cell(curve, s, 3, lambda *cells: (*_integral(*cells), *_least(*cells)))
-    return float(np.sum(parts)), *_tie(*least)
+    least = []
+
+    def read(*cells):  # fills the integral row, keeping each window's _least
+        least.append(_least(*cells))
+        return _integral(*cells)
+    parts, = _per_cell(curve, s, 1, read)
+    return float(np.sum(parts)), *_tie(least)
 
 
 def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):

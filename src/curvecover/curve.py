@@ -19,6 +19,7 @@ from .errors import DegenerateCurve, DimensionMismatch
 MERGE_TOL = 1e-12
 # A length within this of 1 is unit length: build_curve leaves it as built.
 UNIT_LENGTH_TOL = 1e-9
+_ROWS = 2**14  # rows that build_curve measures, or save_curve formats, at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +65,10 @@ class ClosedCurve:
         return abs(self.length - 1.0) <= UNIT_LENGTH_TOL
 
 
-def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Keep mask dropping each vertex closer than MERGE_TOL times the
-    bounding-box diagonal to the last vertex kept, given the vertices over a
-    power of two and their edge lengths, the closing edge last.
+def _merge_duplicates(arr: np.ndarray, e: int, seg: np.ndarray, tol: float) -> np.ndarray:
+    """Keep mask dropping each vertex closer than ``tol`` to the last vertex
+    kept, given the vertices and their edge lengths, the closing edge last,
+    both measured over 2^e.
 
     The comparison is sequential: after a vertex is dropped, the next one
     is compared with the last vertex kept, not with its predecessor.  A
@@ -78,23 +79,34 @@ def _merge_duplicates(unit: np.ndarray, seg: np.ndarray) -> np.ndarray:
     scalar norm throughout, so the result does not depend on how the
     batched sum rounds.
     """
-    diag = np.hypot.reduce([np.ptp(c) for c in unit.T])  # columns: faster than axis=0
-    tol = MERGE_TOL * diag
-    keep = np.ones(len(unit), dtype=bool)
+    keep = np.ones(len(arr), dtype=bool)
     walked = 0  # vertices up to here are decided
     for i in (np.flatnonzero(seg[:-1] < tol * (1.0 + 1e-9)) + 1).tolist():
         if i <= walked:
             continue
-        last = i - 1
-        while i < len(unit) and np.linalg.norm(unit[i] - unit[last]) < tol:
+        last = np.ldexp(arr[i - 1], -e)
+        while i < len(arr) and np.linalg.norm(np.ldexp(arr[i], -e) - last) < tol:
             keep[i] = False
             i += 1
         walked = i
     # drop a repeated first vertex at the end (explicitly closed input)
     last = int(np.flatnonzero(keep)[-1])
-    if last > 0 and np.linalg.norm(unit[last] - unit[0]) < tol:
+    if last > 0 and np.linalg.norm(np.subtract(*np.ldexp(arr[[last, 0]], -e))) < tol:
         keep[last] = False
     return keep
+
+
+def _edges(unit: np.ndarray) -> np.ndarray:
+    """Turn the rows of ``unit`` into its edges in place, the closing edge last,
+    and return their lengths, ``_ROWS`` at a time: np.linalg.norm's temporaries
+    are four times its result."""
+    seg, first = np.empty(len(unit)), unit[:1].copy()
+    for lo in range(0, len(unit), _ROWS):  # row lo + _ROWS is still a vertex
+        rows = unit[lo:lo + _ROWS]
+        ends = np.concatenate((unit[lo + 1:lo + _ROWS + 1], first))[:len(rows)]
+        np.subtract(ends, rows, out=rows)
+        seg[lo:lo + _ROWS] = np.linalg.norm(rows, axis=1)
+    return seg
 
 
 def _coordinate(x) -> float:
@@ -119,7 +131,8 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
     result does not depend on the units.  With ``normalize`` the result
     has unit length: the coordinates are scaled by 1/L unless L is within
     UNIT_LENGTH_TOL of 1, and then the curve comes back exactly as built.
-    ``input_length`` is L before any scaling.  The input is copied.
+    ``input_length`` is L before any scaling.  The input is copied, unless it
+    is an ``_Owned`` view, which ``load_curve`` and ``generate`` hand over.
 
     Raises
     ------
@@ -131,6 +144,8 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         fits a float (a bool, str, bytes or complex one) or is not finite,
         fewer than 3 distinct vertices remain, or L is 0 or overflows to inf.
     """
+    if type(vertices) is _Owned:
+        return _build(vertices.view(np.ndarray), normalize)
     try:
         arr = np.array(vertices)
     except ValueError:  # numpy refuses ragged rows
@@ -150,21 +165,29 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         items = np.array(vertices, dtype=object).ravel()
         if not {bool, np.bool_}.isdisjoint(map(type, items)):
             _coordinate(next(x for x in items if isinstance(x, (bool, np.bool_))))  # refuses it
-    arr = np.asarray(arr, dtype=float, order="C")
+    return _build(np.asarray(arr, dtype=float, order="C"), normalize)
+
+
+class _Owned(np.ndarray):
+    """A C (n >= 1, d >= 2) float64 array that build_curve may build in place."""
+
+
+def _build(arr: np.ndarray, normalize: bool) -> ClosedCurve:
+    """build_curve on an array it owns: edges, tangents and cum_lengths in place."""
     if not np.all(np.isfinite(arr)):
         raise DegenerateCurve("non-finite coordinates")
     # Edges are measured on the vertices over 2^e > max |coordinate|: exact
     # away from subnormals, and no square of an edge over- or underflows
     # unless the edge is below about 1e-154 times that coordinate.
     e = math.frexp(max(arr.max(), -arr.min()))[1]
-    unit = np.ldexp(arr, -e)
-    edges = np.roll(unit, -1, axis=0) - unit
-    seg = np.linalg.norm(edges, axis=1)
-    keep = _merge_duplicates(unit, seg)
+    edges = np.ldexp(arr, -e)  # the vertices over 2^e, until _edges
+    diag = np.hypot.reduce([np.ptp(c) for c in edges.T])  # columns: faster than axis=0
+    seg = _edges(edges)
+    keep = _merge_duplicates(arr, e, seg, MERGE_TOL * diag)
     if not keep.all():  # measure the kept rows again, over the same 2^e
-        arr, unit = arr[keep], unit[keep]
-        edges = np.roll(unit, -1, axis=0) - unit
-        seg = np.linalg.norm(edges, axis=1)
+        arr = arr[keep]
+        edges = np.ldexp(arr, -e)
+        seg = _edges(edges)
     if arr.shape[0] < 3:
         raise DegenerateCurve("need at least 3 distinct vertices")
     total = float(seg.sum())
@@ -174,14 +197,15 @@ def build_curve(vertices, normalize: bool = False) -> ClosedCurve:
         raise DegenerateCurve("total length is not finite (inf)")
     input_length = math.ldexp(total, e)
     if normalize and abs(input_length - 1.0) > UNIT_LENGTH_TOL:
-        arr = arr / input_length
-        edges = edges / total
-        seg = seg / total
+        arr /= input_length
+        edges /= total
+        seg /= total
         total, e = float(seg.sum()), 0
 
-    cum = np.ldexp(np.concatenate(([0.0], np.cumsum(seg))), e)
-    tangents = edges / seg[:, None]
-    return ClosedCurve(arr, cum, math.ldexp(total, e), input_length, tangents)
+    cum = np.zeros(len(seg) + 1)
+    np.ldexp(np.cumsum(seg, out=cum[1:]), e, out=cum[1:])
+    edges /= seg[:, None]  # the unit tangents
+    return ClosedCurve(arr, cum, math.ldexp(total, e), input_length, edges)
 
 
 def point_at(curve: ClosedCurve, t):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import ClosedCurve, build_curve
+from .curve import ClosedCurve, _Owned, build_curve
 from .errors import BadSpec, DegenerateCurve, _number
 
 _MASK64 = (1 << 64) - 1
@@ -134,6 +134,6 @@ def generate(spec: CurveSpec) -> ClosedCurve:
         if dim > d_in:
             pts = np.hstack((pts, np.zeros((len(pts), dim - d_in))))
     try:  # such as lissajous3d at resolution 3, whose samples coincide
-        return build_curve(pts, normalize=spec.normalize)
+        return build_curve(pts.view(_Owned), normalize=spec.normalize)
     except DegenerateCurve as e:
         raise BadSpec(f"{kind} spec builds a degenerate curve: {e}") from None

@@ -12,7 +12,7 @@ from curvecover import (CurveSpec, QuadratureConfig, average_chord,
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, min_chord_start, optimized_partition,
                         solve_sk, theorem2_partition)
-from curvecover.chords import (MIN_TIE_RTOL, _affine_at, _both_chords, _cells,
+from curvecover.chords import (_BLOCK, MIN_TIE_RTOL, _affine_at, _both_chords, _cells,
                                _norm_affine_integral, _sq, _verdict, _vertex_form)
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
@@ -495,3 +495,23 @@ def test_golden_section_batched():
     assert x.shape == y.shape == (4,)
     assert np.allclose(x, np.clip(target, lo, hi), atol=1e-12)
     assert np.allclose(y, np.abs(x - target), atol=0.0)
+
+
+@pytest.mark.parametrize("s", [1 / 3, 0.5])
+def test_every_edge_ties_across_windows(s):
+    # on a regular (3 2^13)-gon at s = 1/3 and 1/2 the least chord of every
+    # edge's cell ties (the slivers between them, 1e-17 wide, do not), in
+    # every window of cells: the rule, applied to each window's cells that
+    # may tie, picks the cell the whole-array rule picks
+    m = 3 * 2**13
+    curve = generate(CurveSpec("regular_polygon", {"m": m}, normalize=True))
+    t0, t1, A, h, q2 = _cells(curve, s)
+    tau = np.clip(-h, 0.0, t1 - t0)
+    chords = np.sqrt(_sq(A, h, q2, tau))
+    tied = chords <= chords.min() * (1.0 + MIN_TIE_RTOL)
+    assert tied.sum() == m and len(t0) > 2 * _BLOCK
+    assert all(tied[a:a + _BLOCK].sum() > _BLOCK // 3 for a in range(0, len(t0), _BLOCK))
+    i = int(np.argmax(tied))
+    want = (float(t0[i] + tau[i]) % 1.0, float(chords[i]))
+    assert min_chord_start(curve, s) == want
+    assert _both_chords(curve, s)[1:] == want

@@ -297,3 +297,86 @@ def test_edits_at_a_chunk_cut_agree_with_nested():
                         (cut + 3, "]"), (cut + 3, " ")]:
         edited = text[:pos] + (insert or "") + text[pos + (insert is None):]
         assert _outcome(_json_vertices, edited) == _outcome(_reference_vertices, edited)
+
+
+# JSON whitespace, numbers at the edges of the float range, and members around
+# the vertex array; the parse reads the file's bytes, so non-ASCII text before
+# the array shifts every byte position away from the character position.
+_WS = st.text(" \t\n\r", max_size=3)
+_NUMBERS = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-320, 308)),
+    st.sampled_from(["-0.0", "-0", "5e-324", "1.7976931348623157e308", "0.1E+2"]))
+_MEMBERS = st.lists(st.tuples(st.text(max_size=4), st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=3))), max_size=2)
+# numbers about as long as the 64-byte slice that _value decodes first
+_LONG = st.from_regex(r"-?[1-9][0-9]{54,62}(\.[0-9]{1,3})?([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+
+
+@st.composite
+def _vertex_files(draw):
+    dim = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(_NUMBERS, min_size=dim, max_size=dim), min_size=1,
+                         max_size=6))
+    ws = lambda: draw(_WS)  # noqa: E731
+    array = "[" + ws() + ("," + ws()).join(
+        "[" + ws() + ("," + ws()).join(x + ws() for x in row) + "]" + ws()
+        for row in rows) + "]"
+    members = [(json.dumps(k, ensure_ascii=draw(st.booleans())),
+                json.dumps(v, ensure_ascii=draw(st.booleans())))
+               for k, v in draw(_MEMBERS)]
+    members += [('"n"', x) for x in draw(st.lists(_LONG, max_size=1))]
+    members.insert(draw(st.integers(0, len(members))), ('"dim"', str(dim)))
+    if draw(st.booleans()):  # an earlier "vertices" member: the last one wins
+        members.insert(0, ('"vertices"', "[[9, 9, 9], [8, 8, 8]]"))
+    after = [(json.dumps(k), json.dumps(v)) for k, v in draw(_MEMBERS)]
+    members += [('"vertices"', array)] + after
+    return "{" + ws() + ",".join(ws() + k + ws() + ":" + ws() + v + ws()
+                                 for k, v in members) + "}" + ws()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_vertex_files(), chunk=st.sampled_from([1, 2, 3, 7, 64, curveio._CHUNK]))
+def test_bytes_parse_matches_json_loads(text, chunk):
+    want = np.asarray(json.loads(text)["vertices"], float)
+    with mock.patch.object(curveio, "_CHUNK", chunk):
+        got = _json_vertices(text.encode())
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _load_error(path):
+    with pytest.raises(FileError) as exc:
+        load_curve(path)
+    return str(exc.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_vertex_files(), data=st.data())
+def test_not_utf8_fails_as_decoding_the_file(text, data, tmp_path_factory):
+    # a bad or cut character anywhere, in the vertex array, a member skipped
+    # while the array is found or the rest parsed by json.loads, fails as
+    # decoding the whole file does, before any JSON error
+    raw = text.encode()
+    pos = data.draw(st.integers(0, len(raw)))
+    bad = data.draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\xc3("]))
+    raw = raw[:pos] + bad + raw[pos:]
+    with pytest.raises(UnicodeDecodeError) as ref:
+        raw.decode()
+    path = _write(tmp_path_factory.mktemp("utf8"), "c.json", raw)
+    assert _load_error(path).endswith(": " + str(ref.value))
+
+
+@pytest.mark.parametrize("rest", [
+    '"x": [1,\n], "dim": 2, "vertices": [[0,0],[1,0],[0,1]]}',  # before the array
+    '"dim": 2, "vertices": [[0,0],[1,0],[0,1]], "x": tru}',  # after it
+    '"dim": 2, "vertices": [[0,0],[1,0],[0,1]], "x": "\u00e9\\n" , "z": 1e5 1}',
+    '"dim": 2, "vertices": [[0,0],[1,0],[0,\n 1 0]]}',  # in it
+    '"dim": 2, "x": "' + "\u00e9" * 40 + '", "vertices": [[0,0],[1,0],[0,1]], "z": 1.5e',
+])
+def test_json_error_after_non_ascii_text_is_placed_in_characters(rest, tmp_path):
+    text = '{"n\u00e4": "\u00e9\\n\u2603",\n ' + rest
+    with pytest.raises(json.JSONDecodeError) as ref:
+        json.loads(text)
+    assert _load_error(_write(tmp_path, "c.json", text)).endswith(": " + str(ref.value))
