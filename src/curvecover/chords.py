@@ -5,9 +5,11 @@ of length s, averaged over all starting points of a unit-length closed
 curve.  One cell kernel serves every chord computation: ``_windows`` cuts
 [0, 1) where t or t+s crosses a vertex and yields the chord ||a + b (t - t0)||
 on each cell [t0, t1] (a formed at t0) in vertex form, about ``_BLOCK`` cells
-at a time.  ``average_chord`` integrates it, ``min_chord_start`` minimizes it
-and ``verify`` gets both from one pass, keeping a float per cell and the cells
-that may tie; ``best_uniform_shift`` gathers every cell at s = 1/k with ``_cells``.
+at a time.  ``average_chord`` integrates it over every cell, ``min_chord_start``
+minimizes it over only the windows that a Lipschitz screen finds can hold the
+minimum, and ``verify`` gets both from one pass over every cell, keeping a float
+per cell and the cells that may tie; ``best_uniform_shift`` gathers every cell at
+s = 1/k with ``_cells``.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import UNIT_LENGTH_TOL, ClosedCurve
+from .curve import UNIT_LENGTH_TOL, ClosedCurve, point_at
 from .curve import chord_length  # noqa: F401  unused; perfbench/selftest.py checks this binding
 from .errors import NotNormalized, OutOfRange, _number
 
@@ -27,6 +29,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 MIN_TIE_RTOL = 1e-12
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
 _BLOCK = 2**14  # cells in a window of _windows, so temporaries do not grow with n
+_SCREEN = 32  # vertices per block of min_chord_start's screen
 
 
 @dataclass(frozen=True)
@@ -73,17 +76,23 @@ def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: 
     return a, ej - ei
 
 
-def _windows(curve: ClosedCurve, s: float):
+def _windows(curve: ClosedCurve, s: float, spans=None):
     """Cells [t0, t1] of [0, 1), cut where t or t+s crosses a vertex, in the vertex form
     of r(t+s) - r(t): (t0, t1, A, h, q2) on [u_a, u_b) for vertices a..b-1, _BLOCK/2 at a
-    time.  Vertices are breakpoints, so these are the cells of one whole sort, to the bit."""
+    time, or on the windows (first, stop) = ``spans`` of at most _BLOCK/2 vertices, in
+    order.  Vertices are breakpoints, so these are the cells of one whole sort, to the bit;
+    the last window ends at 1.0, not at u_n."""
     u, step = curve.params, _BLOCK // 2
+    if spans is None:
+        first = np.arange(0, curve.n, step)
+        spans = first, np.minimum(first + step, curve.n)
+    first, stop = spans
     j = np.searchsorted(u, s)  # u - s < 0 below j, where np.mod adds 1 (fmod is exact)
     shifted = np.concatenate((u[j:-1] - s, u[:j] - s + 1.0))  # np.mod(u[:-1] - s, 1), sorted
-    ends = np.concatenate((u[:-1:step], [1.0]))  # u_a of every window, then the last end
-    cut = np.searchsorted(shifted, ends)
-    for a, lo, hi, end in zip(range(0, curve.n, step), cut, cut[1:], ends[1:]):
-        brk = np.concatenate((u[a:min(a + step, curve.n)], shifted[lo:hi], [end]))
+    ends = np.where(stop < curve.n, u[stop], 1.0)
+    cells = zip(first, stop, np.searchsorted(shifted, u[first]), np.searchsorted(shifted, ends))
+    for (a, b, lo, hi), end in zip(cells, ends):
+        brk = np.concatenate((u[a:b], shifted[lo:hi], [end]))
         brk.sort()  # np.unique, in place
         brk = brk[np.concatenate(([True], brk[1:] != brk[:-1]))]
         t0, t1 = brk[:-1], brk[1:]
@@ -226,12 +235,43 @@ def min_chord_start(curve: ClosedCurve, s: float):
     A (t - t0 + h)^2 + q2, least at t0 + clip(-h, 0, t1 - t0), never above
     the average chord.  Ties go to the smallest t with a cell minimum within
     a relative ``MIN_TIE_RTOL`` of the global one.  Returns (t_star, chord).
+
+    Screened: the chord c(t) = |r(t+s) - r(t)| is 2L-Lipschitz in t, so on a
+    block [u_a, u_b] of ``_SCREEN`` vertices it is at least
+    (c_a + c_b)/2 - L (u_b - u_a), from the chords c_a, c_b at the block's
+    ends (t = 1 is t = 0), taken by one point_at call.  Let m be twice ``_verdict``'s err at the least
+    of those chords, c_min: it bounds the rounding of a point chord and of
+    a kernel chord together (the point_at seam near t = 1 among it), so the
+    kernel's least chord is at most c_min + m and no kernel chord in the
+    block is below that bound less m.  A block whose bound less m is above
+    (c_min + m)(1 + MIN_TIE_RTOL) thus holds neither the least chord nor a
+    tie with it, and the walk need not read its cells.  Each cell walked is
+    the float of the full walk, so the result keeps its bits.
     """
     _require_unit(curve)
     s = _number(s, "s")
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    return _tie(_least(*cells) for cells in _windows(curve, s))
+    return _tie(_least(*cells) for cells in _windows(curve, s, _screen(curve, s)))
+
+
+def _screen(curve: ClosedCurve, s: float):
+    """(first, stop) vertex bounds of the windows that min_chord_start walks: in
+    each window of ``_windows``' own grid that keeps a block, from its first kept
+    block to its last, so never more windows than the full walk; None (the full
+    walk) for one block."""
+    ends = np.append(curve.cum_lengths[:-1:_SCREEN] / curve.length, 1.0)  # u_a, then 1.0
+    if len(ends) < 3:
+        return None
+    c = np.linalg.norm(point_at(curve, ends[:-1] + s) - curve.vertices[::_SCREEN], axis=1)
+    c = np.append(c, c[0])  # r(u_a) is vertex a; t = 1 is t = 0
+    least = c.min()
+    m = 2.0 * _verdict(curve, least, least)[1]
+    low = 0.5 * (c[:-1] + c[1:]) - curve.length * np.diff(ends) - m
+    kept = np.flatnonzero(low <= (least + m) * (1.0 + MIN_TIE_RTOL))
+    cut = np.flatnonzero(np.diff(kept // (_BLOCK // 2 // _SCREEN)))  # last kept of a window
+    first, last = kept[np.append(0, cut + 1)], kept[np.append(cut, -1)]
+    return first * _SCREEN, np.minimum(last * _SCREEN + _SCREEN, curve.n)
 
 
 def _least(t0, t1, A, h, q2):  # least chord and t* of the cells that may tie, in a window

@@ -12,7 +12,8 @@ from curvecover import (CurveSpec, QuadratureConfig, average_chord,
                         gamma_upper_refined, gamma_upper_simple, generate,
                         golden_section, min_chord_start, optimized_partition,
                         solve_sk, theorem2_partition)
-from curvecover.chords import (_BLOCK, MIN_TIE_RTOL, _affine_at, _both_chords, _cells,
+from curvecover import chords
+from curvecover.chords import (_BLOCK, _SCREEN, MIN_TIE_RTOL, _affine_at, _both_chords, _cells,
                                _norm_affine_integral, _sq, _verdict, _vertex_form)
 from curvecover.errors import DegenerateCurve, NotNormalized, OutOfRange
 
@@ -446,11 +447,20 @@ def _least_chord_whole(t0, t1, A, h, q2):
     return float(t0[i] + tau[i]) % 1.0, float(chords[i])
 
 
-@pytest.mark.parametrize("s", [1e-6, 0.1, 1 / 3, 0.5])
-@pytest.mark.parametrize("name", ["ellipse262k", "random_d5_32k"])
+@pytest.fixture(scope="module")
+def lissajous65k():
+    """A 65,536-vertex Lissajous curve in R^3: one least chord, far from any tie."""
+    return generate(CurveSpec("lissajous3d", {"freq_a": 3, "freq_b": 4}, resolution=65536,
+                              normalize=True))
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.1, 1 / 3, 1 / 3 + 2 / (8 * 3**4), 0.5])
+@pytest.mark.parametrize("name", ["ellipse262k", "random_d5_32k", "lissajous65k"])
 def test_blocked_kernel_keeps_its_bits(name, s, request):
     # _cells forms the vertex form block by block, and the exact average and
-    # the minimum chord read it block by block: every bit is the whole-array one
+    # the minimum chord read it block by block: every bit is the whole-array
+    # one.  The minimum chord's screen skips only blocks that cannot hold the
+    # least chord or a tie, and each cell it walks is the full walk's float
     curve = request.getfixturevalue(name)
     t0, t1, *form = cells = _cells(curve, s)
     assert len(t0) > 2**15
@@ -515,3 +525,81 @@ def test_every_edge_ties_across_windows(s):
     want = (float(t0[i] + tau[i]) % 1.0, float(chords[i]))
     assert min_chord_start(curve, s) == want
     assert _both_chords(curve, s)[1:] == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=polylines(), s=st.floats(0.0, 0.5, exclude_min=True))
+def test_screened_min_chord_on_polylines(case, s):
+    # 4 to 64 vertices: one block, where the screen is skipped, or two
+    pts, rot, move = case
+    try:
+        curve = build_curve(pts @ rot.T + move, normalize=True)
+    except DegenerateCurve:
+        assume(False)
+    assert min_chord_start(curve, s) == _least_chord_whole(*_cells(curve, s))
+
+
+def _lopsided(shift):
+    """A smooth 2^15-vertex curve (four windows of _windows) with no symmetry,
+    so one least chord at s = 0.1, its vertices rolled by ``shift``."""
+    theta = 2 * np.pi * np.arange(2**15) / 2**15
+    pts = np.stack((np.cos(theta) + 0.3 * np.cos(2 * theta + 0.7),
+                    np.sin(theta) + 0.2 * np.sin(3 * theta + 0.4)), axis=1)
+    return build_curve(np.roll(pts, -shift, axis=0), normalize=True)
+
+
+@pytest.mark.parametrize("where", ["last block", "straddles 0"])
+def test_screened_min_chord_at_the_seam(where):
+    # rolled so that the least chord lies just below t = 1, in the block
+    # that ends at 1.0 (where point_at walks the last edge out to L), or
+    # just past t = 0, its basin kept in the first and the last block
+    curve = _lopsided(0)
+    near = int(np.searchsorted(curve.params, min_chord_start(curve, 0.1)[0]))
+    curve = _lopsided(near + 5 if where == "last block" else near - 1)
+    got = min_chord_start(curve, 0.1)
+    assert got == _least_chord_whole(*_cells(curve, 0.1))
+    first, stop = chords._screen(curve, 0.1)
+    assert stop[-1] == curve.n and (stop - first).sum() < curve.n // 4
+    if where == "last block":
+        assert curve.params[curve.n - _SCREEN] < got[0] < curve.params[curve.n - 1]
+    else:
+        assert got[0] < curve.params[1] and first[0] == 0
+
+
+def _cells_read(curve, s, monkeypatch):
+    """The cells min_chord_start reads from _windows, and its point_at calls."""
+    read, points = [], []
+    windows, point_at = chords._windows, chords.point_at
+
+    def spy(*args):
+        for cells in windows(*args):
+            read.append(len(cells[0]))
+            yield cells
+    monkeypatch.setattr(chords, "_windows", spy)
+    monkeypatch.setattr(chords, "point_at", lambda *args: points.append(1) or point_at(*args))
+    min_chord_start(curve, s)
+    monkeypatch.undo()
+    return sum(read), len(points)
+
+
+def test_screen_prunes_a_smooth_curve(ellipse262k, monkeypatch):
+    s = 1 / 7 + 6 / (8 * 7**4)
+    read, _ = _cells_read(ellipse262k, s, monkeypatch)
+    assert 0 < read < 0.05 * len(_cells(ellipse262k, s)[0])
+
+
+def test_screen_keeps_every_cell_of_a_regular_polygon(monkeypatch):
+    # every start ties on a regular polygon, so no block can be dropped
+    curve = generate(CurveSpec("regular_polygon", {"m": 4096}, normalize=True))
+    for s in (0.1, 1 / 3, 0.5):
+        assert _cells_read(curve, s, monkeypatch)[0] == len(_cells(curve, s)[0])
+
+
+def test_screen_skipped_for_one_block(monkeypatch):
+    # up to _SCREEN vertices form one block: no point chords are taken;
+    # above, one point_at call takes them all
+    square = build_curve([(0, 0), (1, 0), (1, 1), (0, 1)], normalize=True)
+    assert _cells_read(square, 0.3, monkeypatch) == (len(_cells(square, 0.3)[0]), 0)
+    for n, calls in ((_SCREEN, 0), (_SCREEN + 1, 1)):
+        curve = generate(CurveSpec("regular_polygon", {"m": n}, normalize=True))
+        assert _cells_read(curve, 0.3, monkeypatch)[1] == calls
