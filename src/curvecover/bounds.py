@@ -36,16 +36,36 @@ def gamma_upper_refined(k: int) -> float:
 def solve_sk(k: int):
     """Root s_k in (0, 1/2) of s + sin(pi s)/pi = 2(1-s)/(k-1), by bisection.
 
-    The left side minus the right is increasing, -2/(k-1) at s = 0 and at
-    least 1/pi at s = 1/2, so the root is unique; bisects until the bracket
-    is at most 1e-14 wide and at most 1e-10 of its left end, so the root
-    s_k ~ 1/k keeps its digits however large k is.  Returns
+    The left side minus the right, f, is increasing, -2/(k-1) at s = 0 and
+    at least 1/pi at s = 1/2, so the root is unique; bisects until the
+    bracket is at most 1e-14 wide and at most 1e-10 of its left end, so the
+    root s_k ~ 1/k keeps its digits however large k is.  Returns
     (s_k, bound = 2(1-s_k)/(k-1)), s_k the last bracket's left end, where
     the difference is negative: s_k + sin(pi s_k)/pi <= bound.
+
+    Warm start, same floats.  Bisecting from [0, 1/2] visits only dyadic
+    brackets [a, b] with f(a) < 0 <= f(b), and its bracket at depth 43 is
+    w = 2^-44 ~ 5.7e-14 wide, still above both stopping widths, so it passes
+    through that depth.  Three Newton steps from 1/k land near the root; lo
+    is the multiple of w at or below them.  The computed f rises by at least
+    w from one multiple of w to the next (f' >= 1 on [0, 1/2]) and errs by a
+    few ulp, far less, so it changes sign between exactly one pair of
+    neighbouring multiples: if f(lo) < 0 <= f(lo + w), [lo, lo + w] is the
+    cold bisection's depth-43 bracket, and the same loop from there returns
+    the same float.  That test, not the Newton steps, is what makes the
+    start safe; if it fails (or lo is 0, past k ~ 2^44), the loop starts
+    from [0, 1/2].
     """
     k = _count(k, 3)
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
-    a, b = 0.0, 0.5
+    s = 1.0 / k
+    for _ in range(3):
+        s -= f(s) / (1.0 + math.cos(math.pi * s) + 2.0 / (k - 1))
+    w = 2.0**-44
+    a = math.floor(s / w) * w
+    b = a + w
+    if not (0.0 < a and b <= 0.5 and f(a) < 0.0 <= f(b)):
+        a, b = 0.0, 0.5
     while b - a > 1e-14 or b - a > 1e-10 * a:
         m = 0.5 * (a + b)
         if f(m) < 0.0:
@@ -63,20 +83,17 @@ def bkk_table(k_max: int) -> dict[int, float]:
     (1 + 2/pi) g(a)g(b)/(g(a)+g(b)) over sums k = a+b.
     """
     k_max = _count(k_max, 1, "k_max")
-    g = {1: 1.0}
-    if k_max >= 2:
-        g[2] = 0.5 + 1.0 / math.pi
+    g = [math.nan, 1.0, 0.5 + 1.0 / math.pi][:k_max + 1]  # g[k]; g[0] unused
     c = 1.0 + 2.0 / math.pi
     for k in range(3, k_max + 1):
         best = math.inf
         for a in range(2, int(math.isqrt(k)) + 1):
             if k % a == 0:
                 best = min(best, g[a] * g[k // a])
-        for a in range(1, k // 2 + 1):
-            b = k - a
-            best = min(best, c * g[a] * g[b] / (g[a] + g[b]))
-        g[k] = best
-    return g
+        # the sums k = a + b, a = 1..k//2: x = g(a), y = g(b)
+        g.append(min(best, min([c * x * y / (x + y)
+                                for x, y in zip(g[1:k // 2 + 1], g[k - 1:(k - 1) // 2:-1])])))
+    return dict(enumerate(g[1:], 1))
 
 
 def sin_taylor_upper(x: float) -> float:

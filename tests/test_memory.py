@@ -18,7 +18,7 @@ import pytest
 
 from curvecover import (CurveSpec, QuadratureConfig, average_chord, build_curve, generate,
                         load_curve, min_chord_start, save_curve)
-from curvecover.chords import _both_chords, _cells
+from curvecover.chords import _both_chords, _cells, _verdict
 from curvecover.errors import FileError
 
 
@@ -81,9 +81,17 @@ def test_chords_read_cells_in_blocks(ellipse262k, chord):
     # per-cell row (4 MiB), the integral's; the minimum chord keeps only the
     # cells of a window that may tie: 15.0 and 19.3 MiB with two whole rows.
     # The minimum chord's screen walks a few windows, so its peak (6.1 MiB)
-    # is _verdict's pass over the vertices: 6.8 MiB when it walked them all
+    # is _verdict's pass over the vertices, made once per curve: 6.8 MiB when
+    # it walked them all
     bound = {average_chord: 24, min_chord_start: 9, _both_chords: 14}[chord]
     assert _peak_mib(chord, ellipse262k, 0.1) <= bound
+
+
+def test_verdict_finds_r_once_per_curve(ellipse262k):
+    # R, the largest vertex norm over L, is kept on the curve: every call
+    # divided the vertices by L (a 4 MiB n x d quotient) to find it again
+    _verdict(ellipse262k, 0.1, 0.2)
+    assert _peak_mib(_verdict, ellipse262k, 0.1, 0.2) < 1
 
 
 def test_sampled_rule_reads_cells_in_windows(ellipse262k):
