@@ -160,10 +160,10 @@ def round_up3(x: float) -> float:
 def rendered_rows(rows: list[BoundsRow]):
     """The three display rows at 3 decimals.
 
-    Lower bounds are rounded down (with the 4-decimal snap), the
-    recursive reference upper bounds to nearest, and the optimized upper
-    bound up so the printed number is still a valid bound.  Entries with
-    no optimized bound (k <= 2) render as None.
+    Lower bounds as the paper prints them, floored after a 4-decimal snap, so
+    182 k of table1(4096) print above their exact value, not a floor; the
+    reference upper bounds to nearest; the optimized upper bound up, so it
+    stays a valid bound.  Entries with no optimized bound (k <= 2) are None.
     """
     lower = [round_down3(r.lower) for r in rows]
     bkk = [round_nearest3(r.bkk_upper) for r in rows]

@@ -30,6 +30,7 @@ MIN_TIE_RTOL = 1e-12
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
 _BLOCK = 2**14  # cells in a window of _windows, so temporaries do not grow with n
 _SCREEN = 32  # vertices per block of min_chord_start's screen
+_LEAST_S = 2.0**-52  # a smaller s > 0 is refused: a cell of width s can round away
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,8 @@ def average_chord(curve: ClosedCurve, s: float,
         raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
     if s == 0.0:
         return 0.0
+    if s < _LEAST_S:
+        raise OutOfRange(f"s must be 0 or at least 2^-52, got {s}: a cell of width s rounds away")
     if cfg.mode == "exact-piecewise":
         return float(np.sum(_per_cell(curve, s, 1, _integral)[0]))
     return math.fsum(_midpoint_sum(*cells) for cells in _windows(curve, s))
@@ -252,6 +255,8 @@ def min_chord_start(curve: ClosedCurve, s: float):
     s = _number(s, "s")
     if not (0.0 < s <= 0.5):
         raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
+    if s < _LEAST_S:
+        raise OutOfRange(f"s must be at least 2^-52, got {s}: a cell of width s rounds away")
     return _tie(_least(*cells) for cells in _windows(curve, s, _screen(curve, s)))
 
 
@@ -289,7 +294,7 @@ def _tie(windows):  # min_chord_start's tie rule over every window's _least cell
 
 def _both_chords(curve: ClosedCurve, s: float):
     """(average_chord, *min_chord_start) at s from one pass of ``_windows``."""
-    if not (0.0 < s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
+    if not (_LEAST_S <= s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
         return average_chord(curve, s), None, None  # 0.0, or average_chord's error
     least = []
 

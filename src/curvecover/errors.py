@@ -15,7 +15,7 @@ class DimensionMismatch(CurveCoverError):
 
 
 class DegenerateCurve(CurveCoverError):
-    """Fewer than 3 distinct vertices, or a zero or non-finite total length."""
+    """Fewer than 3 distinct vertices, or a non-finite total length."""
 
 
 class NotNormalized(CurveCoverError):

@@ -115,9 +115,6 @@ def generate(spec: CurveSpec) -> ClosedCurve:
     elif kind == "random_closed":
         d = dim or 2
         pts = SplitMix64(p["seed"]).next_floats(count * d).reshape(count, d)
-        if np.any(np.linalg.norm(np.diff(np.vstack((pts, pts[:1])), axis=0),
-                                 axis=1) < 1e-12):
-            raise BadSpec("seed produced coincident consecutive points")
     else:  # sampled at theta = 2 pi j / count
         theta = 2.0 * math.pi * np.arange(count) / count
         if kind == "lissajous3d":
@@ -133,7 +130,7 @@ def generate(spec: CurveSpec) -> ClosedCurve:
             raise BadSpec(f"cannot embed a {d_in}-d curve in {dim} dimensions")
         if dim > d_in:
             pts = np.hstack((pts, np.zeros((len(pts), dim - d_in))))
-    try:  # such as lissajous3d at resolution 3, whose samples coincide
+    try:  # such as an ellipse whose length overflows (a=1e308)
         return build_curve(pts.view(_Owned), normalize=spec.normalize)
     except DegenerateCurve as e:
         raise BadSpec(f"{kind} spec builds a degenerate curve: {e}") from None

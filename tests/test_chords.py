@@ -148,9 +148,10 @@ def polylines(draw):
 
 # Derandomized so that CI runs the same 100 examples every time.  The chord
 # at each cell start is formed from the nearest vertices and integrated
-# without cancellation, so the bar is relative only, for any s and scale.
+# without cancellation, so the bar is relative only, for any s the chords
+# take (from 2^-52) and any scale.
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=polylines(), s=st.floats(0.0, 0.5, exclude_min=True),
+@given(case=polylines(), s=st.floats(2.0**-52, 0.5),
        shift=st.integers(1, 63), scale=st.sampled_from([1e-9, 1e-3, 7.0, 1e6]))
 def test_chord_kernel_properties(case, s, shift, scale):
     pts, rot, move = case
@@ -359,7 +360,7 @@ def test_thin_triangle_matches_its_segment(height):
         assert min_chord_start(thin, s)[1] <= average_chord(thin, s)
 
 
-@pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-10, 1e-14])
+@pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-10, 1e-14, 2.0**-52])
 def test_tiny_s_relabelling_invariance(s):
     # a reversed or cyclically relabelled polyline has the same average chord
     # to 1e-13 relative: the chord at a cell start comes from the vertices
@@ -373,6 +374,24 @@ def test_tiny_s_relabelling_invariance(s):
         avg = average_chord(curve, s)
         for other in others:
             assert average_chord(other, s) == pytest.approx(avg, rel=1e-13, abs=0.0)
+
+
+# on this curve the min chord over s is 0.0664 at s = 2^-52 but 0.5716 at
+# 1e-17: below 2^-52 a cell of width s rounds away, so the chords refuse it
+@pytest.mark.parametrize("s", [1e-17, 1e-200, 5e-324])
+def test_s_below_2_to_the_minus_52_refused(s):
+    curve = generate(CurveSpec("random_closed", {"n": 16, "seed": 7}, dim=3))
+    for chord in (average_chord, min_chord_start, _both_chords):
+        with pytest.raises(OutOfRange, match=r"at least 2\^-52, got "):
+            chord(curve, s)
+
+
+def test_s_of_2_to_the_minus_52_keeps_its_values():
+    curve = generate(CurveSpec("random_closed", {"n": 16, "seed": 7}, dim=3))
+    want = 2.2204460492503109e-16, 0.8792780941757148, 1.4744460707043594e-17
+    assert average_chord(curve, 2.0**-52) == want[0]
+    assert min_chord_start(curve, 2.0**-52) == want[1:]
+    assert _both_chords(curve, 2.0**-52) == want
 
 
 def _sampled_reference(curve, s):
@@ -528,7 +547,7 @@ def test_every_edge_ties_across_windows(s):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=polylines(), s=st.floats(0.0, 0.5, exclude_min=True))
+@given(case=polylines(), s=st.floats(2.0**-52, 0.5))  # a smaller s > 0 is refused
 def test_screened_min_chord_on_polylines(case, s):
     # 4 to 64 vertices: one block, where the screen is skipped, or two
     pts, rot, move = case

@@ -369,6 +369,14 @@ class TestVerify:
     def test_s_out_of_range(self, circle_file):
         assert main(["verify", circle_file, "--s", "0.6"]) == 2
 
+    @pytest.mark.parametrize("s", ["1e-17", "1e-200", "5e-324"])
+    def test_s_below_2_to_the_minus_52_refused(self, s, circle_file, capsys):
+        assert main(["verify", circle_file, "--s", "0.25", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: s must be 0 or at least 2^-52, got {float(s)}: "
+                                "a cell of width s rounds away\n")
+
     @pytest.mark.parametrize("check", ["average_chord", "min_chord"])
     def test_failure_names_the_check(self, check, square_file, monkeypatch,
                                      capsys):
@@ -679,6 +687,42 @@ class TestOneParser:
                             lambda args: (None, {}, [{"patched": 1}], (), []))
         assert main(["bounds", "--kmax", "2", "--render", "csv"]) == 0
         assert capsys.readouterr().out.endswith("patched\n1\n")
+
+
+def test_near_vertices_keep_every_verdict(tmp_path, capsys):
+    # an irregular pentagon, and the same with a vertex 1e-160 along its first
+    # edge and one 1e-13 of its diagonal along its second: both are kept, every
+    # verdict value is within its err of the pentagon's, and numpy warns of nothing
+    pentagon = [[0.0, 0.0], [1.0, 0.0], [1.3, 0.8], [0.6, 1.1], [-0.2, 0.7]]
+    step = 1e-13 * math.hypot(1.5, 1.1) / math.hypot(0.3, 0.8)
+    near = pentagon[:1] + [[1e-160, 0.0]] + pentagon[1:2] + [
+        [1.0 + 0.3 * step, 0.8 * step]] + pentagon[2:]
+    argvs = [["verify", "--s", "0.05", "0.25", "0.5"], ["sweep", "--k", "4"]] + [
+        ["partition", "--k", "5", "--mode", mode]
+        for mode in ("uniform", "best", "theorem2", "optimized")]
+    values = []
+    for name, pts in (("pentagon", pentagon), ("near", near)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": pts}))
+        assert load_curve(path).n == len(pts)
+        found = []
+        for argv in argvs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv[:1] + [str(path)] + argv[1:] + ["--render", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            if argv[0] == "verify":
+                found += [(r["average_chord"], r["err"]) for r in doc["results"]]
+                found += [(r["min_chord"]["chord"], r["min_chord"]["err"])
+                          for r in doc["results"]]
+            elif argv[0] == "sweep":
+                found.append((doc["exact_mean_beta"], doc["err"]))
+            else:
+                found.append((doc["gamma"], doc["err"]))
+        values.append(found)
+    assert len(values[1]) == 11
+    for (want, _), (got, err) in zip(*values):
+        assert abs(got - want) <= err
 
 
 class TestDeterminism:

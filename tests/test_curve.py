@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from curvecover import (Arc, build_curve, chord_length, cover_piece_length,
                         point_at)
-from curvecover.curve import MERGE_TOL, UNIT_LENGTH_TOL
+from curvecover.curve import UNIT_LENGTH_TOL
 from curvecover.errors import DegenerateCurve, DimensionMismatch, OutOfRange
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -37,7 +37,9 @@ class TestBuildCurve:
         assert c.length == pytest.approx((2.0 + math.sqrt(2.0)) * scale,
                                          rel=2.2e-16, abs=0.0)
         near = build_curve(np.array([(0, 0), (1, 0), (1, 1e-13), (0, 1)]) * scale)
-        assert near.n == 3
+        assert near.n == 4
+        assert near.length == pytest.approx((2.0 + math.sqrt(2.0)) * scale,
+                                            rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("power", [-1000, -520, -60, 60, 520, 1000])
     def test_power_of_two_scale_is_exact(self, power):
@@ -58,6 +60,35 @@ class TestBuildCurve:
         c = build_curve(SQUARE + [(0.0, 0.0)])
         assert c.n == 4
 
+    @pytest.mark.parametrize("pts", [
+        [(0.0, 1.0, -0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)],
+        [(1.0, 0.0, 0.0), (0.0, 1.0, -0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, -0.0), (0.0, 0.0, 1.0)],
+    ])
+    def test_first_of_equal_vertices_kept(self, pts):
+        # -0.0 equals 0.0: the first of the two keeps its bits
+        c = build_curve(pts)
+        want = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+        assert c.vertices.tobytes() == np.array(want).tobytes()
+
+    # over 2^1 (the largest coordinate is 1), a square underflows below about
+    # 2^-537.5 = 3.2e-162: such an edge measures 0 and its end vertex goes
+    @pytest.mark.parametrize("h, n", [(1e-163, 3), (3e-162, 3), (7e-162, 4), (1e-160, 4)])
+    def test_underflowing_edge_drops_its_end_vertex(self, h, n):
+        pts = [[0.0, 0.0], [h, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        c = build_curve(pts)
+        assert c.vertices.tolist() == [p for p in pts if n == 4 or p[0] != h]
+        assert np.all(np.isfinite(c._tangents))
+        assert c.length == pytest.approx(2.0 + math.sqrt(2.0), rel=2.2e-16, abs=0.0)
+
+    def test_kept_vertices_measured_again(self):
+        # the edge (0, 0) -> (2.5e-162, 0) measures 0, the next one 4e-162 does
+        # not; measured again, (0, 0) -> (-1.5e-162, 0) is 0 and that vertex goes too
+        c = build_curve([(0.0, 0.0), (2.5e-162, 0.0), (-1.5e-162, 0.0), (1.0, 0.0),
+                         (0.0, 1.0)])
+        assert c.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert np.all(c._tangents.any(axis=1))
+
     def test_edge_lengths_match_cum(self):
         c = build_curve([(0, 0), (3, 0), (3, 4), (1, 5)])
         diffs = np.diff(c.cum_lengths)
@@ -75,7 +106,7 @@ class TestBuildCurve:
     def test_degenerate(self):
         with pytest.raises(DegenerateCurve):
             build_curve([(0, 0), (1, 0)])
-        with pytest.raises(DegenerateCurve):
+        with pytest.raises(DegenerateCurve, match="need at least 3 distinct vertices"):
             build_curve([(0, 0), (0, 0), (0, 0), (0, 0)])
         with pytest.raises(DegenerateCurve):
             build_curve([])
@@ -166,20 +197,22 @@ def _over_power_of_two(pts):
 
 
 def _sequential_build(vertices, normalize):
-    """Reference: merge by comparing each vertex with the last one kept,
-    one vertex at a time, then the arc-length arithmetic.  Lengths are
-    measured on the vertices over a power of two, so no square under- or
-    overflows; normalizing divides only a length more than UNIT_LENGTH_TOL
-    from 1.  None if degenerate."""
+    """Reference: one vertex at a time, drop each vertex whose edge from the
+    one before measures 0, and the last one kept if the closing edge does,
+    until every edge of the kept vertices measures > 0; then the arc-length
+    arithmetic.  Lengths are measured on the vertices over a power of two, so
+    no square under- or overflows; normalizing divides only a length more
+    than UNIT_LENGTH_TOL from 1.  None if degenerate."""
     pts = np.asarray(vertices, dtype=float)
     unit = _over_power_of_two(pts)[0]
-    tol = MERGE_TOL * np.hypot.reduce(unit.max(axis=0) - unit.min(axis=0))
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.linalg.norm(unit[i] - unit[keep[-1]]) >= tol:
-            keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(unit[keep[-1]] - unit[0]) < tol:
-        keep.pop()
+    keep, kept = None, list(range(len(pts)))
+    while kept != keep:
+        keep, kept = kept, kept[:1]
+        for i, j in zip(keep, keep[1:]):
+            if np.linalg.norm(unit[j] - unit[i]) > 0.0:
+                kept.append(j)
+        if keep and np.linalg.norm(unit[keep[-1]] - unit[keep[0]]) == 0.0:
+            kept.pop()
     arr = pts[keep]
     if arr.shape[0] < 3:
         return None
@@ -197,17 +230,17 @@ def _sequential_build(vertices, normalize):
 
 @st.composite
 def polylines_with_near_duplicates(draw):
-    """Random polyline with clusters of steps of 0.3 to 2 merge tolerances
-    (MERGE_TOL times the diagonal of the base vertices) after some vertices
-    (random signs give zig-zags) and an optional closing vertex at or near
-    the first, all scaled by 1 or 1e-13."""
+    """Random polyline with clusters of steps of 0 (an exact duplicate) or
+    0.3 to 2 times 1e-12 of the diagonal of the base vertices after some
+    vertices (random signs give zig-zags) and an optional closing vertex at or
+    near the first, all scaled by 1 or 1e-13."""
     d = draw(st.integers(2, 4))
     n = draw(st.integers(1, 10))
     coord = st.floats(-1.0, 1.0, allow_subnormal=False)
     base = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
                                   min_size=n, max_size=n)))
-    tol = MERGE_TOL * np.hypot.reduce(base.max(axis=0) - base.min(axis=0))
-    steps = [f * tol for f in (0.3, 0.6, 1.0, 2.0)]
+    tol = 1e-12 * np.hypot.reduce(base.max(axis=0) - base.min(axis=0))
+    steps = [0.0] + [f * tol for f in (0.3, 0.6, 1.0, 2.0)]
     out = []
     for p in base:
         out.append(p)
@@ -216,7 +249,7 @@ def polylines_with_near_duplicates(draw):
             q[draw(st.integers(0, d - 1))] += (draw(st.sampled_from([1.0, -1.0]))
                                                * draw(st.sampled_from(steps)))
             out.append(q)
-    closing = draw(st.sampled_from([None, 0.0] + steps))
+    closing = draw(st.sampled_from([None] + steps))
     if closing is not None:
         q = base[0].copy()
         q[-1] += closing
@@ -226,10 +259,11 @@ def polylines_with_near_duplicates(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pts=polylines_with_near_duplicates(), normalize=st.booleans())
-# the dropped vertex holds the only coordinate at 2^0: the full array is
-# measured over 2^1, the kept rows over 2^0
+# a vertex 2^-45 from the one holding the only coordinate at 2^0: both stay
 @example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=False)
 @example(pts=np.array([(0, 0), (0.5, 0.9), (1 - 2**-45, 0), (1, 0)]), normalize=True)
+# equal vertices of different bits: the first of the run, -0.0, stays
+@example(pts=np.array([(1, 0, 0), (0, 1, -0.0), (0, 1, 0.0), (0, 0, 1)]), normalize=False)
 # length 1 + 2^-40, within UNIT_LENGTH_TOL of 1: normalizing leaves it as built
 @example(pts=np.array(SQUARE) * 0.25 * (1 + 2**-40), normalize=True)
 def test_merge_matches_sequential_reference(pts, normalize):
