@@ -271,7 +271,7 @@ def _screen(curve: ClosedCurve, s: float):
     c = np.linalg.norm(point_at(curve, ends[:-1] + s) - curve.vertices[::_SCREEN], axis=1)
     c = np.append(c, c[0])  # r(u_a) is vertex a; t = 1 is t = 0
     least = c.min()
-    m = 2.0 * _verdict(curve, least, least)[1]
+    m = 2.0 * _verdict(curve, least, least).err
     low = 0.5 * (c[:-1] + c[1:]) - curve.length * np.diff(ends) - m
     kept = np.flatnonzero(low <= (least + m) * (1.0 + MIN_TIE_RTOL))
     cut = np.flatnonzero(np.diff(kept // (_BLOCK // 2 // _SCREEN)))  # last kept of a window
@@ -305,10 +305,20 @@ def _both_chords(curve: ClosedCurve, s: float):
     return float(np.sum(parts)), *_tie(least)
 
 
-def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True):
-    """(passes, err): value <= bound passes iff value <= bound + err, err an a
-    priori bound on the rounding of both sides.  ``scaled``: value is a chord,
-    so grows with the curve's length L; gamma does not.
+@dataclass(frozen=True)
+class Verdict:
+    """value <= bound, err bounding the rounding of both: passes iff value <= bound + err."""
+
+    value: float
+    bound: float
+    err: float
+    passes = property(lambda v: v.value <= v.bound + v.err)
+    margin = property(lambda v: v.bound - v.value)
+
+
+def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True) -> Verdict:
+    """The ``Verdict`` of value <= bound with its err.  ``scaled``: value is a
+    chord, so grows with the curve's length L; gamma does not.
 
     Exact is the polyline through the stored vertices at exact arc-length
     fractions.  To first order in u = 2^-53, with n vertices in R^d, R the
@@ -330,4 +340,4 @@ def _verdict(curve: ClosedCurve, value: float, bound: float, scaled: bool = True
     err *= 1 + abs(value) + abs(bound)
     if scaled:
         err += 2 * abs(curve.length - 1.0)
-    return value <= bound + err, err
+    return Verdict(value, bound, err)

@@ -54,8 +54,8 @@ def _csv(records, *trailer):
 
 # Each report command only computes, and returns (curve, doc, rows, trailer,
 # verdicts): the curve file it read (None for bounds), the JSON doc, the CSV's
-# rows (dicts, never empty) and trailer (name, value) pairs, and its verdicts
-# value <= bound as (check, value, bound_name, bound, passes, err).
+# rows (dicts, never empty) and trailer (name, value) pairs, and its verdicts as
+# (check, bound_name, chords.Verdict): every verdict key and the exit code read it.
 
 def cmd_bounds(args):
     if args.kmax > _MAX_KMAX:
@@ -110,10 +110,10 @@ def cmd_partition(args):
         bound = bnd.gamma_upper_simple(k) if k >= 2 else 1.0
     report = part.cover_report(curve, cover, bound, shift_or_s)
     report["command"] = "partition"
-    gamma, ok, err = report["gamma"], report["bound_satisfied"], report["err"]
-    trailer = (("gamma", gamma), ("bound", bound), ("pass", ok), ("err", err))
-    return (curve, report, report["pieces"], trailer,
-            [("gamma", gamma, "certified bound", bound, ok, err)])
+    # the Verdict cover_report judged and wrote as gamma, bound and err
+    v = chords.Verdict(report["gamma"], report["bound"], report["err"])
+    trailer = (("gamma", v.value), ("bound", v.bound), ("pass", v.passes), ("err", v.err))
+    return curve, report, report["pieces"], trailer, [("gamma", "certified bound", v)]
 
 
 def cmd_sweep(args):
@@ -132,15 +132,13 @@ def cmd_sweep(args):
             zip(shifts.tolist(), betas.tolist(), gammas.tolist())]
     mean_beta = math.fsum(betas.tolist()) / len(rows)
     exact = 1.0 if k == 1 else 1.0 / k + chords.average_chord(curve, 1.0 / k)
-    bound = bnd.beta_extremal(k)
-    ok, err = chords._verdict(curve, exact, bound)
+    v = chords._verdict(curve, exact, bnd.beta_extremal(k))
     doc = {"command": "sweep", "k": k, "samples": args.samples, "rows": rows,
-           "mean_beta": mean_beta, "exact_mean_beta": exact, "beta_bound": bound,
-           "mean_beta_within_bound": ok, "err": err}
-    trailer = (("mean_beta", mean_beta), ("exact_mean_beta", exact),
-               ("bound", bound), ("pass", ok), ("err", err))
-    return (curve, doc, rows, trailer,
-            [("mean beta over all shifts", exact, "bound", bound, ok, err)])
+           "mean_beta": mean_beta, "exact_mean_beta": v.value, "beta_bound": v.bound,
+           "mean_beta_within_bound": v.passes, "err": v.err}
+    trailer = (("mean_beta", mean_beta), ("exact_mean_beta", v.value),
+               ("bound", v.bound), ("pass", v.passes), ("err", v.err))
+    return curve, doc, rows, trailer, [("mean beta over all shifts", "bound", v)]
 
 
 def cmd_verify(args):
@@ -148,21 +146,19 @@ def cmd_verify(args):
     results, rows, verdicts = [], [], []
     for s in args.s:
         value, t_star, chord = chords._both_chords(curve, s)
-        bound = math.sin(math.pi * s) / math.pi
-        ok, err = chords._verdict(curve, value, bound)
-        entry = {"s": s, "average_chord": value, "bound": bound,
-                 "slack": bound - value, "pass": ok, "err": err}
+        v = chords._verdict(curve, value, math.sin(math.pi * s) / math.pi)
+        entry = {"s": s, "average_chord": v.value, "bound": v.bound,
+                 "slack": v.margin, "pass": v.passes, "err": v.err}
         # the CSV row: its min chord columns stay empty at s = 0, which has none
         row = dict(entry, min_chord=None, min_chord_pass=None, min_chord_err=None)
-        checked = [("average_chord", value, ok, err)]
+        checked = [("average_chord", v)]
         if s > 0.0:
-            ok, err = chords._verdict(curve, chord, bound)
-            entry["min_chord"] = {"t_star": t_star, "chord": chord,
-                                  "below_bound": ok, "err": err}
-            row.update(min_chord=chord, min_chord_pass=ok, min_chord_err=err)
-            checked.append(("min_chord", chord, ok, err))
-        verdicts += [(f"{name} at s={s!r}", v, "sin(pi s)/pi =", bound, ok, e)
-                     for name, v, ok, e in checked]
+            v = chords._verdict(curve, chord, v.bound)
+            entry["min_chord"] = {"t_star": t_star, "chord": v.value,
+                                  "below_bound": v.passes, "err": v.err}
+            row.update(min_chord=v.value, min_chord_pass=v.passes, min_chord_err=v.err)
+            checked.append(("min_chord", v))
+        verdicts += [(f"{name} at s={s!r}", "sin(pi s)/pi =", v) for name, v in checked]
         results.append(entry)
         rows.append(row)
     return curve, {"command": "verify", "results": results}, rows, (), verdicts
@@ -244,10 +240,10 @@ def main(argv=None) -> int:
     except (CurveCoverError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    failed = [v for v in verdicts if not v[4]]  # v[4]: passes
-    for check, value, bound_name, bound, _, err in failed:
-        print(f"FAIL: {check} is {value!r}, above {bound_name} {bound!r} "
-              f"by {value - bound:.3g} (err {err:.3g})", file=sys.stderr)
+    failed = [(check, name, v) for check, name, v in verdicts if not v.passes]
+    for check, bound_name, v in failed:
+        print(f"FAIL: {check} is {v.value!r}, above {bound_name} {v.bound!r} "
+              f"by {v.value - v.bound:.3g} (err {v.err:.3g})", file=sys.stderr)
     return 1 if failed else 0
 
 

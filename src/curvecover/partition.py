@@ -226,7 +226,7 @@ def cover_report(curve: ClosedCurve, cover: Cover, bound: float,
     """JSON-ready report of a cover and its certified-bound verdict: gamma
     passes iff it is at most bound + err, err its rounding bound."""
     metrics = cover_metrics(curve, cover)
-    passes, err = _verdict(curve, metrics.gamma, bound, scaled=False)
+    v = _verdict(curve, metrics.gamma, bound, scaled=False)
     return {
         "k": len(cover.pieces),
         "construction": cover.construction,
@@ -237,8 +237,8 @@ def cover_report(curve: ClosedCurve, cover: Cover, bound: float,
             for a, l in zip(cover.pieces, cover.piece_lengths)
         ],
         "beta": metrics.beta,
-        "gamma": metrics.gamma,
-        "bound": bound,
-        "bound_satisfied": passes,
-        "err": err,
+        "gamma": v.value,
+        "bound": v.bound,
+        "bound_satisfied": v.passes,
+        "err": v.err,
     }

@@ -304,9 +304,9 @@ def test_verdicts_within_err_of_mpmath(spec, s_values, ks):
             assert abs(_mp_closed(a, b, T) - _mp_integral(a, b, T)) <= 1e-30 * T
         got = average_chord(curve, s)
         assert abs(got - mpmath.fsum(_mp_closed(*c) for c in cells)) <= \
-            _verdict(curve, got, bound)[1]
+            _verdict(curve, got, bound).err
         _, low = min_chord_start(curve, s)
-        assert abs(low - _mp_min_chord(cells)) <= _verdict(curve, low, bound)[1]
+        assert abs(low - _mp_min_chord(cells)) <= _verdict(curve, low, bound).err
     for k in ks:
         shift, best = best_uniform_shift(curve, k)
         for cover, bound in ((theorem2_partition(curve, k), gamma_upper_refined(k)),

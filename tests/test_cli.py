@@ -394,7 +394,7 @@ class TestVerify:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"FAIL: {check} at s=0.25 ")
-        slack = chords._verdict(load_curve(square_file), bound + 1e-3, bound)[1]
+        slack = chords._verdict(load_curve(square_file), bound + 1e-3, bound).err
         assert err[0].endswith(f" by 0.001 (err {slack:.3g})")
 
     def test_csv_lines(self, square_file, monkeypatch, capsys):
@@ -412,9 +412,9 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         square = load_curve(square_file)
         b05, b25 = (math.sin(math.pi * s) / math.pi for s in (0.05, 0.25))
-        e0, e05, e25 = (chords._verdict(square, 0.1, b)[1] for b in (0.0, b05, b25))
+        e0, e05, e25 = (chords._verdict(square, 0.1, b).err for b in (0.0, b05, b25))
         c05 = chords.min_chord_start(square, 0.05)[1]
-        m05, m25 = (chords._verdict(square, c, b)[1] for c, b in ((c05, b05), (0.3, b25)))
+        m05, m25 = (chords._verdict(square, c, b).err for c, b in ((c05, b05), (0.3, b25)))
         assert lines == [
             "s,average_chord,bound,slack,pass,err,min_chord,min_chord_pass,min_chord_err",
             f"0.0,0.1,0.0,-0.1,False,{e0!r},,,",
