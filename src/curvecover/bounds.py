@@ -18,7 +18,10 @@ def beta_extremal(k: int) -> float:
 
     Also the circle lower bound for the max-ratio problem.
     """
-    k = _count(k, 1)
+    return _beta(_count(k, 1))
+
+
+def _beta(k):  # beta_extremal of a checked k
     return 1.0 / k + math.sin(math.pi / k) / math.pi
 
 
@@ -56,7 +59,10 @@ def solve_sk(k: int):
     start safe; if it fails (or lo is 0, past k ~ 2^44), the loop starts
     from [0, 1/2].
     """
-    k = _count(k, 3)
+    return _solve_sk(_count(k, 3))
+
+
+def _solve_sk(k):  # solve_sk of a checked k
     f = lambda s: s + math.sin(math.pi * s) / math.pi - 2.0 * (1.0 - s) / (k - 1)
     s = 1.0 / k
     for _ in range(3):
@@ -130,14 +136,9 @@ class BoundsRow:
 def table1(k_max: int) -> list[BoundsRow]:
     """Assemble the bounds table for k = 1..k_max."""
     rows = []
-    for k, bkk in bkk_table(k_max).items():  # k = 1..k_max, in order
-        if k == 1:
-            new, sk = 1.0, None
-        elif k == 2:
-            new, sk = gamma_upper_simple(2), None
-        else:
-            sk, new = solve_sk(k)
-        rows.append(BoundsRow(k, beta_extremal(k), bkk, new, sk))
+    for k, bkk in bkk_table(k_max).items():  # k = 1..k_max, in order: checked there
+        sk, new = _solve_sk(k) if k >= 3 else (None, 1.0)  # k = 2: gamma_upper_simple(2) = 1.0
+        rows.append(BoundsRow(k, _beta(k), bkk, new, sk))
     return rows
 
 

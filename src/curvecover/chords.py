@@ -24,13 +24,10 @@ from .errors import NotNormalized, OutOfRange, _number
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-# min_chord_start: cell minima within this relative distance of the
-# global minimum tie, and the smallest start among them wins.
-MIN_TIE_RTOL = 1e-12
+MIN_TIE_RTOL = 1e-12  # the relative tolerance of _ties
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
 _BLOCK = 2**14  # cells in a window of _windows, so temporaries do not grow with n
 _SCREEN = 32  # vertices per block of min_chord_start's screen
-_LEAST_S = 2.0**-52  # a smaller s > 0 is refused: a cell of width s can round away
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,23 @@ def _require_unit(curve: ClosedCurve):
         raise NotNormalized(f"curve length {curve.length} is not 1 within {UNIT_LENGTH_TOL}")
 
 
+def _chord_s(curve: ClosedCurve, s, zero=False) -> float:
+    """s as a float for a chord reader of a unit-length ``curve``: in [0, 1/2] if ``zero``,
+    else (0, 1/2], and never in (0, 2^-52), where a cell of width s can round away."""
+    _require_unit(curve)
+    s = _number(s, "s")
+    if not (0.0 <= s <= 0.5 and (zero or s > 0.0)):
+        raise OutOfRange(f"s must lie in {'[' if zero else '('}0, 1/2], got {s}")
+    if 0.0 < s < 2.0**-52:
+        raise OutOfRange(f"s must be {'0 or ' if zero else ''}at least 2^-52, got {s}: "
+                         "a cell of width s rounds away")
+    return s
+
+
+def _ties(x, least):  # x within a relative MIN_TIE_RTOL of least: the one tie test
+    return x <= least * (1.0 + MIN_TIE_RTOL)
+
+
 def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: np.ndarray):
     """(a, b) with r(t+s) - r(t) = a + b (t - t0) on the 1-D cells [t0, t1] of
     ``_windows``, where t and t+s each stay on one edge; a and b are (cells, d).
@@ -72,8 +86,7 @@ def _affine_at(curve: ClosedCurve, s: float, t0: np.ndarray, t1: np.ndarray, u: 
          + (np.take(u, i + 1) - t0)[..., None] * ei
          + ((t0 - wrap - np.take(u, j)) + s)[..., None] * ej)
     same = i == j
-    if same.any():
-        a[same] = (s - wrap[same])[..., None] * ei[same]
+    a[same] = (s - wrap[same])[..., None] * ei[same]
     return a, ej - ei
 
 
@@ -173,14 +186,8 @@ def average_chord(curve: ClosedCurve, s: float,
     ``exact-piecewise`` integrates it in closed form, ``sampled`` sums it at
     midpoints, a window at a time, with no point geometry.
     """
-    _require_unit(curve)
-    s = _number(s, "s")
-    if not (0.0 <= s <= 0.5):
-        raise OutOfRange(f"s must lie in [0, 1/2], got {s}")
-    if s == 0.0:
+    if (s := _chord_s(curve, s, zero=True)) == 0.0:
         return 0.0
-    if s < _LEAST_S:
-        raise OutOfRange(f"s must be 0 or at least 2^-52, got {s}: a cell of width s rounds away")
     if cfg.mode == "exact-piecewise":
         return float(np.sum(_per_cell(curve, s, 1, _integral)[0]))
     return math.fsum(_midpoint_sum(*cells) for cells in _windows(curve, s))
@@ -236,8 +243,8 @@ def min_chord_start(curve: ClosedCurve, s: float):
 
     Exact: on each cell [t0, t1] of ``_windows`` the squared chord is
     A (t - t0 + h)^2 + q2, least at t0 + clip(-h, 0, t1 - t0), never above
-    the average chord.  Ties go to the smallest t with a cell minimum within
-    a relative ``MIN_TIE_RTOL`` of the global one.  Returns (t_star, chord).
+    the average chord.  Ties go to the smallest t whose cell minimum ``_ties``
+    the global one (within a relative MIN_TIE_RTOL).  Returns (t_star, chord).
 
     Screened: the chord c(t) = |r(t+s) - r(t)| is 2L-Lipschitz in t, so on a
     block [u_a, u_b] of ``_SCREEN`` vertices it is at least
@@ -246,17 +253,12 @@ def min_chord_start(curve: ClosedCurve, s: float):
     of those chords, c_min: it bounds the rounding of a point chord and of
     a kernel chord together (the point_at seam near t = 1 among it), so the
     kernel's least chord is at most c_min + m and no kernel chord in the
-    block is below that bound less m.  A block whose bound less m is above
-    (c_min + m)(1 + MIN_TIE_RTOL) thus holds neither the least chord nor a
+    block is below that bound less m.  A block whose bound less m does not
+    tie c_min + m (``_ties``) thus holds neither the least chord nor a
     tie with it, and the walk need not read its cells.  Each cell walked is
     the float of the full walk, so the result keeps its bits.
     """
-    _require_unit(curve)
-    s = _number(s, "s")
-    if not (0.0 < s <= 0.5):
-        raise OutOfRange(f"s must lie in (0, 1/2], got {s}")
-    if s < _LEAST_S:
-        raise OutOfRange(f"s must be at least 2^-52, got {s}: a cell of width s rounds away")
+    s = _chord_s(curve, s)
     return _tie(_least(*cells) for cells in _windows(curve, s, _screen(curve, s)))
 
 
@@ -273,7 +275,7 @@ def _screen(curve: ClosedCurve, s: float):
     least = c.min()
     m = 2.0 * _verdict(curve, least, least).err
     low = 0.5 * (c[:-1] + c[1:]) - curve.length * np.diff(ends) - m
-    kept = np.flatnonzero(low <= (least + m) * (1.0 + MIN_TIE_RTOL))
+    kept = np.flatnonzero(_ties(low, least + m))
     cut = np.flatnonzero(np.diff(kept // (_BLOCK // 2 // _SCREEN)))  # last kept of a window
     first, last = kept[np.append(0, cut + 1)], kept[np.append(cut, -1)]
     return first * _SCREEN, np.minimum(last * _SCREEN + _SCREEN, curve.n)
@@ -282,20 +284,20 @@ def _screen(curve: ClosedCurve, s: float):
 def _least(t0, t1, A, h, q2):  # least chord and t* of the cells that may tie, in a window
     tau = np.clip(-h, 0.0, t1 - t0)
     chords = np.sqrt(_sq(A, h, q2, tau))
-    near = chords <= chords.min() * (1.0 + MIN_TIE_RTOL)
+    near = _ties(chords, chords.min())
     return chords[near], (t0 + tau)[near]
 
 
 def _tie(windows):  # min_chord_start's tie rule over every window's _least cells
     chords, t_star = map(np.concatenate, zip(*windows))
-    i = int(np.argmax(chords <= chords.min() * (1.0 + MIN_TIE_RTOL)))
+    i = int(np.argmax(_ties(chords, chords.min())))
     return float(t_star[i]) % 1.0, float(chords[i])
 
 
 def _both_chords(curve: ClosedCurve, s: float):
-    """(average_chord, *min_chord_start) at s from one pass of ``_windows``."""
-    if not (_LEAST_S <= s <= 0.5 and curve.is_unit_length):  # s = 0: no minimum chord
-        return average_chord(curve, s), None, None  # 0.0, or average_chord's error
+    """(average_chord, *min_chord_start) at s from one ``_windows`` pass; (0.0, None, None) at 0."""
+    if (s := _chord_s(curve, s, zero=True)) == 0.0:
+        return 0.0, None, None
     least = []
 
     def read(*cells):  # fills the integral row, keeping each window's _least

@@ -82,7 +82,8 @@ def _value(data: bytes, i: int, size: int = 64):
 
 
 def _vertex_span(data: bytes):
-    """Byte span of the top-level "vertices" array of a JSON object, bytes or str.
+    """Byte span of the top-level "vertices" array of a JSON object: data's first
+    byte past JSON whitespace is "{", as ``load_curve`` routes only such data here.
 
     Every other member value is skipped with the json decoder, and the
     last "vertices" member wins, as in ``json.loads``.  Returns None when
@@ -90,10 +91,7 @@ def _vertex_span(data: bytes):
     that is not an array of rows fails ``_vertex_rows``.  Malformed JSON
     outside the array is left to the caller's ``json.loads`` of the rest.
     """
-    data = data.encode() if isinstance(data, str) else data
     span, i = None, _WS.match(data).end()
-    if not data.startswith(b"{", i):
-        return None
     while True:
         i = _WS.match(data, i + 1).end()  # past "{" or ","
         if not data.startswith(b'"', i):
@@ -152,7 +150,6 @@ def _vertex_rows(data: bytes, a: int, b: int, dim) -> np.ndarray:
 
 
 def _json_vertices(data: bytes) -> np.ndarray:
-    data = data.encode() if isinstance(data, str) else data
     span = _vertex_span(data)
     if span is None:
         json.loads(data.decode())  # malformed JSON is reported first

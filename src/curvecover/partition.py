@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .chords import (MIN_TIE_RTOL, _cells, _require_unit, _sq, _verdict, golden_section,
+from .chords import (_cells, _require_unit, _sq, _ties, _verdict, golden_section,
                      min_chord_start)
 from .curve import ClosedCurve, chord_length
 from .errors import NotAPartition, OutOfRange, _count, _number
@@ -122,14 +122,14 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
     so the objective is convex there.  A first pass walks the cells in blocks
     of all k arcs and about ``_BLOCK`` elements, and keeps only each cell's
     cost at its start and its bound (each arc's minimum, reduced by the
-    objective).  Cells whose bound exceeds the best start, by more than the
-    tie tolerance, are dropped; a second pass refines the rest, with all k
-    arcs, to 1e-12 by a batched golden-section search, in blocks of the same
-    size.  Every block also carries the widest cell, which sets
-    golden_section's step count, so each cell gets the point and cost of one
-    search over every cell at once.  Memory does not grow with k x cells.
-    Ties go to the smallest cell start or refined point whose cost is within
-    a relative ``MIN_TIE_RTOL`` of the least.  Returns (shift_star, cover).
+    objective).  Cells whose bound does not tie the best start (``_ties``)
+    are dropped; a second pass refines the rest, with all k arcs, to 1e-12
+    by a batched golden-section search, in blocks of the same size.  Every
+    block also carries the widest cell, which sets golden_section's step
+    count, so each cell gets the point and cost of one search over every
+    cell at once.  Memory does not grow with k x cells.
+    Ties go to the smallest cell start or refined point whose cost ``_ties``
+    the least (within a relative MIN_TIE_RTOL).  Returns (shift_star, cover).
     """
     k = _count(k, 1)
     if k > 4 * _BLOCK:  # a block holds >= 4 cells x k arcs: memory grows with k
@@ -161,7 +161,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
         # ulp of that; max and sums are monotone, so the bound stays below the cost
         low -= 2e-13 * (qa * period**2 + sq0)
         start[c], bound[c] = reduce(sq0), reduce(np.maximum(low, 0.0, out=low))
-    keep = bound <= start.min() * (1.0 + MIN_TIE_RTOL)
+    keep = _ties(bound, start.min())
     wide = np.argmax(width)  # the widest cell sets golden_section's steps
     keep[wide] = False
     rest = np.flatnonzero(keep)
@@ -174,7 +174,7 @@ def best_uniform_shift(curve: ClosedCurve, k: int, objective: str = "max"):
         xs.append(x)
         ys.append(y)
     cand, cost = np.concatenate(xs), np.concatenate(ys)
-    shift = float(cand[cost <= cost.min() * (1.0 + MIN_TIE_RTOL)].min())
+    shift = float(cand[_ties(cost, cost.min())].min())
     return shift, uniform_partition(curve, k, shift)
 
 

@@ -394,6 +394,17 @@ def test_s_of_2_to_the_minus_52_keeps_its_values():
     assert _both_chords(curve, 2.0**-52) == want
 
 
+# verify's one pass checks s as the average chord does, also s that is no number
+@pytest.mark.parametrize("s", [-0.1, 0.7, math.nan, "x", 2.0**-53])
+def test_both_chords_refuse_s_as_the_average_chord(s):
+    curve = generate(CurveSpec("random_closed", {"n": 16, "seed": 7}, dim=3))
+    with pytest.raises(OutOfRange) as want:
+        average_chord(curve, s)
+    with pytest.raises(OutOfRange) as got:
+        _both_chords(curve, s)
+    assert str(got.value) == str(want.value)
+
+
 def _sampled_reference(curve, s):
     """The sampled rule cell by cell, read from the kernel's vertex form: m =
     64 p midpoints tau on a cell of width w, p = max(1, ceil(64 w)), each chord

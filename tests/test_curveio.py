@@ -156,6 +156,18 @@ def test_json_error_positions_are_the_files(tmp_path, bad):
     assert str(exc.value).endswith(str(ref.value))
 
 
+@pytest.mark.parametrize("space", ["\x0c", "\x0b", " \x0c\n"])
+def test_brace_after_non_json_whitespace_is_malformed_json(tmp_path, space):
+    # str.strip takes form feed and vertical tab, JSON does not: such a file
+    # goes to the CSV reader, which reports it as the malformed JSON it is
+    bad = space + '{"dim": 2, "vertices": [[0,0],[1,0],[0,1]]}'
+    with pytest.raises(json.JSONDecodeError) as ref:
+        json.loads(bad)
+    with pytest.raises(FileError) as exc:
+        load_curve(_write(tmp_path, "c.json", bad))
+    assert str(exc.value).endswith(": " + str(ref.value))
+
+
 def _reference_vertices(text):
     """Reference: the nested lists of ``json.loads``, then ``np.asarray``."""
     doc = json.loads(text)
@@ -198,7 +210,7 @@ def test_flat_parse_matches_nested(spec, tmp_path):
     texts = _layouts(curve.vertices.tolist(), curve.dim, curve.is_unit_length)
     texts["save_curve"] = path.read_text()
     for layout, text in texts.items():
-        got, want = _json_vertices(text), _reference_vertices(text)
+        got, want = _json_vertices(text.encode()), _reference_vertices(text)
         assert got.shape == want.shape, layout
         assert got.tobytes() == want.tobytes(), layout
     assert load_curve(path).vertices.tobytes() == curve.vertices.tobytes()
@@ -209,9 +221,9 @@ SMALL = _layouts([[0, 0, 1.5], [1.0, -2, 0.25], [3e-2, 1, -0.5], [2, 2.5, 0]],
                  3, False)
 
 
-def _outcome(parse, text):
+def _outcome(parse, text):  # parse of text's UTF-8 bytes, as load_curve reads a file
     try:
-        verts = parse(text)
+        verts = parse(text.encode())
     except (KeyError, ValueError, TypeError):
         return None
     return verts.shape, verts.tobytes()
@@ -256,9 +268,9 @@ CHUNKED = _layouts([[0, 0, 1.5], [1.0, -2, 0.25], [3e-2, 1, -0.5], [2, 2.5, 0]] 
 @pytest.mark.parametrize("layout", sorted(CHUNKED))
 def test_one_byte_edit_across_chunks_agrees_with_nested(layout, chunk):
     text = CHUNKED[layout]
-    a, b = curveio._vertex_span(text)
+    a, b = curveio._vertex_span(text.encode())
     with mock.patch.object(curveio, "_CHUNK", chunk):
-        assert _json_vertices(text).tobytes() == _reference_vertices(text).tobytes()
+        assert _json_vertices(text.encode()).tobytes() == _reference_vertices(text).tobytes()
         for pos in range(a - 1, b + 1):
             for insert in list("[],0123456789 ") + [None]:
                 edited = text[:pos] + (insert or "") + text[pos + (insert is None):]
@@ -291,8 +303,8 @@ def test_json_error_in_a_later_chunk_is_the_files(tmp_path):
 def test_edits_at_a_chunk_cut_agree_with_nested():
     # at the real chunk size: the first cut ends the chunk at a row's "]"
     text = _big_text(32768)
-    cut = text.index("]", curveio._vertex_span(text)[0] + curveio._CHUNK)
-    assert _json_vertices(text).tobytes() == _reference_vertices(text).tobytes()
+    cut = text.index("]", curveio._vertex_span(text.encode())[0] + curveio._CHUNK)
+    assert _json_vertices(text.encode()).tobytes() == _reference_vertices(text).tobytes()
     for pos, insert in [(cut, None), (cut + 1, "5"), (cut + 1, None), (cut - 1, " "),
                         (cut + 3, "]"), (cut + 3, " ")]:
         edited = text[:pos] + (insert or "") + text[pos + (insert is None):]
