@@ -24,7 +24,8 @@ from .errors import NotNormalized, OutOfRange, _number
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-MIN_TIE_RTOL = 1e-12  # the relative tolerance of _ties
+# _ties' relative tolerance, above equal costs' rounding spread and far below real dips:
+MIN_TIE_RTOL = 1e-12  # 1.7e-13 and 2.8e-9 of the least shift cost, 4,096-gon at k = 50
 _SAMPLES = 64  # sampled quadrature: midpoints per part, parts per unit of t
 _BLOCK = 2**14  # cells in a window of _windows, so temporaries do not grow with n
 _SCREEN = 32  # vertices per block of min_chord_start's screen

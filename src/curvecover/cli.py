@@ -76,6 +76,8 @@ def cmd_gen(args):
         key, eq, val = kv.partition("=")
         if not eq:
             raise BadFlag(f"--params entries must be key=value, got {kv!r}")
+        if key in params:
+            raise BadFlag(f"--params key {key!r} is given twice")
         try:  # a JSON number; an infinity such as 1e400 parses, and the spec's rule refuses it
             if not curveio._JSON_NUMBER.fullmatch(val):
                 raise ValueError(val)
@@ -89,11 +91,10 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
-    _count(args.k, 1, "--k")
+    k = _count(args.k, 1, "--k")
     if args.shift is not None and args.mode != "uniform":
         raise BadFlag("--shift is only valid with --mode uniform")
     curve = curveio.load_curve(args.curve, normalize=True)
-    k = args.k
     if args.mode == "theorem2":
         cover = part.theorem2_partition(curve, k)
         bound = bnd.gamma_upper_refined(k)
@@ -118,10 +119,9 @@ def cmd_partition(args):
 
 def cmd_sweep(args):
     _count(args.samples, 2, "--samples")
-    _count(args.k, 1, "--k")
-    _count(args.samples * args.k, 1, "--samples times --k")
+    k = _count(args.k, 1, "--k")
+    _count(args.samples * k, 1, "--samples times --k")
     curve = curveio.load_curve(args.curve, normalize=True)
-    k = args.k
     # row j is the uniform cover with shift j / (k samples)
     shifts = np.arange(args.samples) / (k * args.samples)
     starts = np.mod(shifts[:, None] + np.arange(k) / k, 1.0)
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a corpus curve file")
     sp.add_argument("--kind", choices=generators.KINDS, required=True)
-    sp.add_argument("--params", nargs="*", metavar="KEY=VALUE")
+    sp.add_argument("--params", nargs="*", action="extend", metavar="KEY=VALUE")
     sp.add_argument("--resolution", type=int, default=4096)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--no-normalize", action="store_true")
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check the average-chord inequality")
     sp.add_argument("curve")
-    sp.add_argument("--s", type=float, nargs="+", required=True)
+    sp.add_argument("--s", type=float, nargs="+", action="extend", required=True)
     _report_flags(sp)
     return p
 

@@ -21,7 +21,6 @@ from .errors import FileError
 _WS = re.compile(rb"[ \t\n\r]*")
 # A two-level array ends at its first "]]", so finding it needs no parse.
 _ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
-_KEY = re.compile(rb'"([^"\\\x00-\x1f]*)"')  # a JSON string with no escape or control
 # The characters of JSON numbers, NaN and Infinity: with them deleted, the
 # vertex array must leave exactly its brackets and commas.
 _NUMBER_CHARS = b"0123456789+-.eEINafinty"
@@ -85,8 +84,8 @@ def _vertex_span(data: bytes):
     """Byte span of the top-level "vertices" array of a JSON object: data's first
     byte past JSON whitespace is "{", as ``load_curve`` routes only such data here.
 
-    Every other member value is skipped with the json decoder, and the
-    last "vertices" member wins, as in ``json.loads``.  Returns None when
+    Each key is read, and every other member value skipped, with ``_value``;
+    the last "vertices" member wins, as in ``json.loads``.  Returns None when
     that member is missing or is not an array followed by a "]]"; a span
     that is not an array of rows fails ``_vertex_rows``.  Malformed JSON
     outside the array is left to the caller's ``json.loads`` of the rest.
@@ -96,8 +95,7 @@ def _vertex_span(data: bytes):
         i = _WS.match(data, i + 1).end()  # past "{" or ","
         if not data.startswith(b'"', i):
             return span
-        key = _KEY.match(data, i)  # read at once, as _value would read it
-        key, i = (key[1].decode(), key.end()) if key else _value(data, i)
+        key, i = _value(data, i)
         i = _WS.match(data, i).end()
         if not data.startswith(b":", i):
             return span

@@ -108,6 +108,14 @@ class TestSolveSk:
                 assert long_arc <= bound, k
                 assert abs(long_arc - 2 * (1 - mpmath.mpf(s)) / (k - 1)) < 2e-14, k
 
+    def test_left_end_below_root_mpmath(self):
+        # the bisection keeps a where the float f(a) < 0; f's rounding moves no
+        # a of k = 3..20,000 across the root: the exact f(a) < 0 at 50 digits too
+        with mpmath.workdps(50):
+            for k in range(3, 20_001):
+                a = mpmath.mpf(solve_sk(k)[0])
+                assert a + mpmath.sin(mpmath.pi * a) / mpmath.pi - 2 * (1 - a) / (k - 1) < 0, k
+
     @pytest.mark.parametrize("k", [10**6, 10**9, 10**12, 10**15, 2**60 - 1])
     def test_large_k_matches_mpmath_root(self, k):
         # s_k ~ 1/k: an absolute stopping width of 1e-14 lost it (0.0 at 10**15)

@@ -431,6 +431,16 @@ class TestVerify:
             "FAIL: average_chord at s=0.25", "FAIL: min_chord at s=0.25",
             "FAIL: average_chord at s=0.05", "FAIL: min_chord at s=0.05"]
 
+    def test_repeated_s_flags_accumulate(self, circle_file, capsys):
+        # every --s value is checked, not only the last flag's
+        assert main(["verify", circle_file, "--s", "0.1", "--s", "0.2", "0.25",
+                     "--render", "json"]) == 0
+        repeated = capsys.readouterr().out
+        assert [r["s"] for r in json.loads(repeated)["results"]] == [0.1, 0.2, 0.25]
+        assert main(["verify", circle_file, "--s", "0.1", "0.2", "0.25",
+                     "--render", "json"]) == 0
+        assert capsys.readouterr().out == repeated
+
     def test_readme_circle_errs(self, circle_file, capsys):
         # every verdict of the README commands on the 4,096-vertex circle:
         # err at most 1e-11, below its margin (the smallest is 4.9e-9)
@@ -631,6 +641,10 @@ class TestReportPath:
          "over the cap"),
         (["--kind", "regular_polygon", "--params", "m4"],
          "--params entries must be key=value, got 'm4'"),
+        (["--kind", "ellipse", "--params", "a=1.5", "a=3.0"],
+         "--params key 'a' is given twice"),
+        (["--kind", "ellipse", "--params", "a=1.5", "--params", "b=2", "a=1.5"],
+         "--params key 'a' is given twice"),
         (["--kind", "ellipse", "--params", "a=1e400"],
          "ellipse param 'a' must be a finite number, got inf"),
         (["--kind", "circle", "--resolution", str(10**309)],
@@ -658,6 +672,15 @@ class TestReportPath:
             assert main(["gen", "--kind", "regular_polygon", "--params", m,
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_gen_repeated_params_flags_accumulate(self, tmp_path):
+        # a = 1.5 from the first flag is kept: the curve is not the default a = 2
+        paths = [tmp_path / name for name in ("two.json", "one.json", "b_only.json")]
+        for path, params in zip(paths, (["a=1.5", "--params", "b=3.0"], ["a=1.5", "b=3.0"],
+                                        ["b=3.0"])):
+            assert main(["gen", "--kind", "ellipse", "--params", *params,
+                         "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
 
 
 class TestOneParser:
